@@ -40,12 +40,199 @@ let expand_offers enums offers =
   in
   List.map (fun (values, bindings) -> (List.rev values, bindings)) alternatives
 
-let rec moves ?(fuel = 100) spec behavior =
-  let recur = moves ~fuel spec in
-  match behavior with
-  | Ast.At (_, k) -> recur k
-  | Ast.Stop -> []
-  | Ast.Exit es ->
+(* ------------------------------------------------------------------ *)
+(* Interned terms
+
+   A term is a normalized behaviour whose children are terms of the
+   same table, so two terms of one table are structurally equal iff
+   they are physically equal: interning a node only compares its own
+   payload and the identity of its children, and its hash is computed
+   once, from the children's hashes. A term caches its outgoing moves
+   once a composite term above it asks for them, so a composite term's
+   moves are assembled from its components' cached lists — only the
+   component that moved is ever derived again. *)
+
+type term = {
+  shape : shape;
+  hash : int;
+  behavior : Ast.behavior; (* the normalized behaviour [shape] stands for *)
+  mutable explored : explored;
+      (* replaced as a whole, so a domain that reads it sees a complete
+         entry *)
+}
+
+and shape =
+  | Stop
+  | Exit of Expr.t list
+  | Prefix of Ast.action * term
+  | Rate of float * term
+  | Choice of term list
+  | Guard of Expr.t * term
+  | Par of Ast.sync * term * term
+  | Hide of string list * term
+  | Rename of (string * string) list * term
+  | Seq of term * (string * Ty.t) list * term
+  | Call of string * string list * Expr.t list
+
+(* [depth] is how many nested process calls deriving [moves] unfolded:
+   the moves hold under any fuel >= depth. *)
+and explored = { depth : int; moves : move list }
+
+and move = { label : move_label; name : string; target : term }
+
+(* Payloads mostly come from the same parent term, so a pointer test
+   settles them before the structural comparison *)
+let same x y = x == y || x = y
+
+let same_shape a b =
+  match a, b with
+  | Stop, Stop -> true
+  | Exit es, Exit es' -> same es es'
+  | Prefix (a, k), Prefix (a', k') -> k == k' && same a a'
+  | Rate (r, k), Rate (r', k') -> k == k' && r = r'
+  | Choice bs, Choice bs' -> List.equal ( == ) bs bs'
+  | Guard (e, k), Guard (e', k') -> k == k' && same e e'
+  | Par (s, x, y), Par (s', x', y') -> x == x' && y == y' && same s s'
+  | Hide (gs, k), Hide (gs', k') -> k == k' && same gs gs'
+  | Rename (ps, k), Rename (ps', k') -> k == k' && same ps ps'
+  | Seq (x, acc, y), Seq (x', acc', y') -> x == x' && y == y' && same acc acc'
+  | Call (p, gs, args), Call (p', gs', args') ->
+    String.equal p p' && same gs gs' && same args args'
+  | ( ( Stop | Exit _ | Prefix _ | Rate _ | Choice _ | Guard _ | Par _
+      | Hide _ | Rename _ | Seq _ | Call _ ),
+      _ ) ->
+    false
+
+let mix h x =
+  let h = (h lxor x) * 0x100000001b3 in
+  h lxor (h lsr 29)
+
+(* [Hashtbl.hash] looks at a bounded prefix of a value; hashing list
+   elements one by one keeps long argument lists apart *)
+let mix_list h xs = List.fold_left (fun h x -> mix h (Hashtbl.hash x)) h xs
+
+(* The hash of an operator node is its payload's, mixed with its
+   children's; [derive] computes the payload part once per parent. *)
+let par_seed s = mix 7 (Hashtbl.hash s)
+let hide_seed gs = mix_list 8 gs
+let rename_seed ps = mix_list 9 ps
+let seq_seed acc = mix_list 10 acc
+
+let hash_shape = function
+  | Stop -> 1
+  | Exit es -> mix_list 2 es
+  | Prefix (a, k) -> mix (mix_list (mix 3 (Hashtbl.hash a.Ast.gate)) a.offers) k.hash
+  | Rate (r, k) -> mix (mix 4 (Hashtbl.hash r)) k.hash
+  | Choice bs -> List.fold_left (fun h b -> mix h b.hash) 5 bs
+  | Guard (e, k) -> mix (mix 6 (Hashtbl.hash e)) k.hash
+  | Par (s, x, y) -> mix (mix (par_seed s) x.hash) y.hash
+  | Hide (gs, k) -> mix (hide_seed gs) k.hash
+  | Rename (ps, k) -> mix (rename_seed ps) k.hash
+  | Seq (x, acc, y) -> mix (mix (seq_seed acc) x.hash) y.hash
+  | Call (p, gs, args) -> mix_list (mix_list (mix 11 (Hashtbl.hash p)) gs) args
+
+module Hashed = struct
+  type t = term
+
+  let equal a b = a.hash = b.hash && same_shape a.shape b.shape
+  let hash t = t.hash
+end
+
+module Local = Hashtbl.Make (Hashed)
+module Shared = Mv_par.Shard_set.Make (Hashed)
+
+type store = Local of term Local.t | Shared of Shared.t
+
+type table = { spec : Ast.spec; store : store; stop : term }
+
+(* the entry of a term whose moves were never derived *)
+let unexplored = { depth = -1; moves = [] }
+
+let intern_hashed store hash shape behavior =
+  let t = { shape; hash; behavior; explored = unexplored } in
+  match store with
+  | Local terms -> (
+      match Local.find_opt terms t with
+      | Some canonical -> canonical
+      | None ->
+        Local.add terms t t;
+        t)
+  | Shared terms ->
+    let id, fresh = Shared.add terms t in
+    if fresh then t else Shared.get terms id
+
+let intern_shape store shape behavior =
+  intern_hashed store (hash_shape shape) shape behavior
+
+let table ?(concurrent = false) ?(expect = 1024) spec =
+  let store =
+    if concurrent then Shared (Shared.create ~buckets:(max 1024 (expect / 64)) ())
+    else Local (Local.create (max 16 expect))
+  in
+  { spec; store; stop = intern_shape store Stop Ast.Stop }
+
+let hash t = t.hash
+let behavior t = t.behavior
+
+(* [b] is normalized, hence free of [At] nodes *)
+let rec of_normal table b =
+  let sub = of_normal table in
+  let shape =
+    match b with
+    | Ast.Stop -> Stop
+    | Ast.Exit es -> Exit es
+    | Ast.Prefix (a, k) -> Prefix (a, sub k)
+    | Ast.Rate (r, k) -> Rate (r, sub k)
+    | Ast.Choice bs -> Choice (List.map sub bs)
+    | Ast.Guard (e, k) -> Guard (e, sub k)
+    | Ast.Par (s, x, y) -> Par (s, sub x, sub y)
+    | Ast.Hide (gs, k) -> Hide (gs, sub k)
+    | Ast.Rename (ps, k) -> Rename (ps, sub k)
+    | Ast.Seq (x, acc, y) -> Seq (sub x, acc, sub y)
+    | Ast.Call (p, gs, args) -> Call (p, gs, args)
+    | Ast.At _ -> assert false
+  in
+  intern_shape table.store shape b
+
+let intern table b = of_normal table (Ast.normalize b)
+
+(* the continuation [k] with data variables bound: a fresh term unless
+   nothing was bound *)
+let bind table bindings k =
+  if bindings = [] then k
+  else intern table (Ast.subst bindings k.behavior)
+
+let rec mem_gate g = function
+  | [] -> false
+  | h :: rest -> String.equal g h || mem_gate g rest
+
+let tau_move target = { label = Tau; name = label_string Tau; target }
+
+let leaf moves = { depth = 0; moves }
+
+(* ------------------------------------------------------------------ *)
+(* The SOS rules *)
+
+(* a cached entry deeper than [fuel] is derived again, so that the
+   unfolding that runs out of fuel raises exactly where it would on a
+   term never seen before *)
+let valid ~fuel e = e.depth >= 0 && e.depth <= fuel
+
+let rec explore table ~fuel t =
+  let e = t.explored in
+  if valid ~fuel e then e
+  else begin
+    let e = derive table ~fuel t in
+    t.explored <- e;
+    e
+  end
+
+and derive table ~fuel t =
+  let recur = explore table ~fuel in
+  let make hash shape behavior = intern_hashed table.store hash shape behavior in
+  match t.shape with
+  | Stop -> leaf []
+  | Exit es ->
     let values =
       List.map
         (fun e ->
@@ -54,122 +241,157 @@ let rec moves ?(fuel = 100) spec behavior =
            | exception Expr.Eval_error msg -> fail ("exit value: " ^ msg))
         es
     in
-    [ (Exit_move values, Ast.Stop) ]
-  | Ast.Prefix (action, k) ->
-    let alternatives = expand_offers spec.Ast.enums action.offers in
+    let label = Exit_move values in
+    leaf [ { label; name = label_string label; target = table.stop } ]
+  | Prefix (action, k) ->
+    let alternatives = expand_offers table.spec.Ast.enums action.offers in
     if String.equal action.gate Ast.tau_gate then begin
       if action.offers <> [] then fail "the internal gate i takes no offers";
-      [ (Tau, k) ]
+      leaf [ tau_move k ]
     end
     else
-      List.map
-        (fun (values, bindings) ->
-           ((Act (action.gate, values)), Ast.subst bindings k))
-        alternatives
-  | Ast.Rate (r, k) ->
+      leaf
+        (List.map
+           (fun (values, bindings) ->
+              let label = Act (action.gate, values) in
+              { label; name = label_string label; target = bind table bindings k })
+           alternatives)
+  | Rate (r, k) ->
     if r <= 0.0 then fail "rate must be positive";
-    [ (Rate_move r, k) ]
-  | Ast.Choice bs -> List.concat_map recur bs
-  | Ast.Guard (e, k) -> (
+    let label = Rate_move r in
+    leaf [ { label; name = label_string label; target = k } ]
+  | Choice bs ->
+    let depth, rev_moves =
+      List.fold_left
+        (fun (depth, acc) b ->
+           let e = recur b in
+           (max depth e.depth, List.rev_append e.moves acc))
+        (0, []) bs
+    in
+    { depth; moves = List.rev rev_moves }
+  | Guard (e, k) -> (
       match Expr.eval_bool e with
       | true -> recur k
-      | false -> []
+      | false -> leaf []
       | exception Expr.Eval_error msg -> fail ("guard: " ^ msg))
-  | Ast.Par (sync, x, y) ->
+  | Par (sync, x, y) ->
+    let ex = recur x in
+    let ey = recur y in
     let sync_gate g =
-      match sync with Ast.Gates gs -> List.mem g gs | Ast.All -> true
+      match sync with Ast.Gates gs -> mem_gate g gs | Ast.All -> true
     in
-    let mx = recur x and my = recur y in
+    let synchronizes m =
+      match m.label with
+      | Exit_move _ -> true
+      | Act (g, _) -> sync_gate g
+      | Tau | Rate_move _ -> false
+    in
+    let seed = par_seed sync in
+    let par x y =
+      make (mix (mix seed x.hash) y.hash) (Par (sync, x, y))
+        (Ast.Par (sync, x.behavior, y.behavior))
+    in
     let left =
       List.filter_map
-        (fun (l, x') ->
-           match l with
-           | Exit_move _ -> None
-           | Act (g, _) when sync_gate g -> None
-           | Act _ | Tau | Rate_move _ -> Some (l, Ast.Par (sync, x', y)))
-        mx
+        (fun m -> if synchronizes m then None else Some { m with target = par m.target y })
+        ex.moves
     and right =
       List.filter_map
-        (fun (l, y') ->
-           match l with
-           | Exit_move _ -> None
-           | Act (g, _) when sync_gate g -> None
-           | Act _ | Tau | Rate_move _ -> Some (l, Ast.Par (sync, x, y')))
-        my
+        (fun m -> if synchronizes m then None else Some { m with target = par x m.target })
+        ey.moves
     and synced =
       List.concat_map
-        (fun (lx, x') ->
+        (fun mx ->
            List.filter_map
-             (fun (ly, y') ->
-                match lx, ly with
+             (fun my ->
+                match mx.label, my.label with
                 | Exit_move vx, Exit_move vy
                   when List.length vx = List.length vy
                        && List.for_all2 Value.equal vx vy ->
-                  Some (lx, Ast.Par (sync, x', y'))
-                | Act (g, vs), Act (g', vs')
-                  when sync_gate g && String.equal g g' && vs = vs' ->
-                  Some (lx, Ast.Par (sync, x', y'))
+                  Some { mx with target = par mx.target my.target }
+                | Act (g, vs), Act (g', vs') when String.equal g g' && vs = vs' ->
+                  Some { mx with target = par mx.target my.target }
                 | (Exit_move _ | Act _ | Tau | Rate_move _), _ -> None)
-             my)
-        (List.filter
-           (fun (l, _) ->
-              match l with
-              | Exit_move _ -> true
-              | Act (g, _) -> sync_gate g
-              | Tau | Rate_move _ -> false)
-           mx)
+             ey.moves)
+        (List.filter synchronizes ex.moves)
     in
-    left @ right @ synced
-  | Ast.Hide (gates, k) ->
-    List.map
-      (fun (l, k') ->
-         let l' =
-           match l with
-           | Act (g, _) when List.mem g gates -> Tau
-           | Act _ | Tau | Exit_move _ | Rate_move _ -> l
-         in
-         (l', Ast.Hide (gates, k')))
-      (recur k)
-  | Ast.Rename (pairs, k) ->
-    List.map
-      (fun (l, k') ->
-         let l' =
-           match l with
+    { depth = max ex.depth ey.depth; moves = left @ right @ synced }
+  | Hide (gates, k) ->
+    let e = recur k in
+    let seed = hide_seed gates in
+    let moves =
+      List.map
+        (fun m ->
+           let target =
+             make (mix seed m.target.hash) (Hide (gates, m.target))
+               (Ast.Hide (gates, m.target.behavior))
+           in
+           match m.label with
+           | Act (g, _) when List.mem g gates -> tau_move target
+           | Act _ | Tau | Exit_move _ | Rate_move _ -> { m with target })
+        e.moves
+    in
+    { e with moves }
+  | Rename (pairs, k) ->
+    let e = recur k in
+    let seed = rename_seed pairs in
+    let moves =
+      List.map
+        (fun m ->
+           let target =
+             make (mix seed m.target.hash) (Rename (pairs, m.target))
+               (Ast.Rename (pairs, m.target.behavior))
+           in
+           match m.label with
            | Act (g, vs) -> (
                match List.assoc_opt g pairs with
-               | Some g' -> Act (g', vs)
-               | None -> l)
-           | Tau | Exit_move _ | Rate_move _ -> l
-         in
-         (l', Ast.Rename (pairs, k')))
-      (recur k)
-  | Ast.Seq (x, accepts, y) ->
-    List.map
-      (fun (l, x') ->
-         match l with
-         | Exit_move values ->
-           if List.length values <> List.length accepts then
-             fail
-               (Printf.sprintf
-                  ">>: %d exit value(s) for %d accept binder(s)"
-                  (List.length values) (List.length accepts))
-           else begin
-             let bindings =
-               List.map2
-                 (fun (name, ty) value ->
-                    if not (Ty.check_value spec.Ast.enums ty value) then
-                      fail
-                        (Printf.sprintf "accept %s: value %s not in type" name
-                           (Value.to_string value));
-                    (name, value))
-                 accepts values
+               | Some g' ->
+                 let label = Act (g', vs) in
+                 { label; name = label_string label; target }
+               | None -> { m with target })
+           | Tau | Exit_move _ | Rate_move _ -> { m with target })
+        e.moves
+    in
+    { e with moves }
+  | Seq (x, accepts, y) ->
+    let e = recur x in
+    let seed = seq_seed accepts in
+    let moves =
+      List.map
+        (fun m ->
+           match m.label with
+           | Exit_move values ->
+             if List.length values <> List.length accepts then
+               fail
+                 (Printf.sprintf ">>: %d exit value(s) for %d accept binder(s)"
+                    (List.length values) (List.length accepts))
+             else begin
+               let bindings =
+                 List.map2
+                   (fun (name, ty) value ->
+                      if not (Ty.check_value table.spec.Ast.enums ty value) then
+                        fail
+                          (Printf.sprintf "accept %s: value %s not in type" name
+                             (Value.to_string value));
+                      (name, value))
+                   accepts values
+               in
+               tau_move (bind table bindings y)
+             end
+           | Act _ | Tau | Rate_move _ ->
+             let target =
+               make
+                 (mix (mix seed m.target.hash) y.hash)
+                 (Seq (m.target, accepts, y))
+                 (Ast.Seq (m.target.behavior, accepts, y.behavior))
              in
-             (Tau, Ast.subst bindings y)
-           end
-         | Act _ | Tau | Rate_move _ -> (l, Ast.Seq (x', accepts, y)))
-      (recur x)
-  | Ast.Call (name, gate_args, args) ->
+             { m with target })
+        e.moves
+    in
+    { e with moves }
+  | Call (name, gate_args, args) ->
     if fuel <= 0 then raise (Unguarded_recursion name);
+    let spec = table.spec in
     let proc =
       match Ast.find_process spec name with
       | Some p -> p
@@ -201,4 +423,17 @@ let rec moves ?(fuel = 100) spec behavior =
       if proc.gates = [] then proc.body
       else Ast.subst_gates (List.combine proc.gates gate_args) proc.body
     in
-    moves ~fuel:(fuel - 1) spec (Ast.subst bindings body)
+    let e = explore table ~fuel:(fuel - 1) (intern table (Ast.subst bindings body)) in
+    { e with depth = e.depth + 1 }
+
+(* A state is expanded once, so its own moves are not kept: only those
+   of its components, which other states share. *)
+let successors ?(fuel = 100) table t =
+  let e = t.explored in
+  (if valid ~fuel e then e else derive table ~fuel t).moves
+
+let moves ?(fuel = 100) spec behavior =
+  let table = table spec in
+  List.map
+    (fun m -> (m.label, m.target.behavior))
+    (successors ~fuel table (intern table behavior))

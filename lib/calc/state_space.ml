@@ -6,72 +6,90 @@ type outcome = {
   truncated : bool;
 }
 
+(* States are interned terms of one table per exploration: equal
+   behaviours are the same node, so comparing two states is one
+   pointer test and hashing one is reading the hash stored when the
+   node was built. *)
 module Term_state = struct
-  type t = Ast.behavior
+  type t = Semantics.term
 
-  let equal = ( = )
-
-  (* [Hashtbl.hash] only examines a bounded number of nodes, so the
-     states of a large composition (which differ deep inside the term)
-     would all collide and degenerate the state table to linear
-     probing. Hashing the marshalled representation covers the whole
-     term at linear cost. *)
-  let hash t = Hashtbl.hash (Marshal.to_string t [ Marshal.No_sharing ])
+  let equal = ( == )
+  let hash = Semantics.hash
 end
 
 module Term_explore = Explore.Make (Term_state)
 
-let successors spec behavior =
+let successors table term =
   List.map
-    (fun (label, next) -> (Semantics.label_string label, Ast.normalize next))
-    (Semantics.moves spec behavior)
+    (fun m -> (m.Semantics.name, m.Semantics.target))
+    (Semantics.successors table term)
 
 let generate ?pool ?tick ?(max_states = 1_000_000) ?expect spec =
+  let concurrent =
+    match pool with Some pool -> Mv_par.Pool.size pool > 1 | None -> false
+  in
+  let table = Semantics.table ~concurrent ?expect spec in
   let result =
     Term_explore.run ?pool ?tick ~max_states ~on_truncate:`Raise ?expect
-      ~initial:(Ast.normalize spec.Ast.init)
-      ~successors:(successors spec) ()
+      ~initial:(Semantics.intern table spec.Ast.init)
+      ~successors:(successors table) ()
   in
   { lts = result.Explore.lts;
-    terms = result.Explore.states;
+    terms = Array.map Semantics.behavior result.Explore.states;
     truncated = result.Explore.truncated }
 
 let lts ?pool ?tick ?max_states ?expect spec =
   (generate ?pool ?tick ?max_states ?expect spec).lts
 
+(* The out-of-core seen set keys states by their marshalled bytes, so
+   they stay whole behaviours; each expansion interns its state in a
+   table of its own, which keeps RAM bounded by the hot budget instead
+   of growing with every term met. *)
+module Behavior_explore = Explore.Make (struct
+    type t = Ast.behavior
+
+    let equal = ( = )
+    let hash = Hashtbl.hash
+  end)
+
 let generate_ooc ?tick ?(max_states = 1_000_000) ?expect ?hot_budget_bytes
     ~scratch_dir ~labels ~emit spec =
-  Term_explore.run_ooc ?tick ~max_states ~on_truncate:`Raise ?expect
+  let successors behavior =
+    let table = Semantics.table ~expect:64 spec in
+    List.map
+      (fun (name, term) -> (name, Semantics.behavior term))
+      (successors table (Semantics.intern table behavior))
+  in
+  Behavior_explore.run_ooc ?tick ~max_states ~on_truncate:`Raise ?expect
     ?hot_budget_bytes ~scratch_dir ~labels ~emit
-    ~initial:(Ast.normalize spec.Ast.init)
-    ~successors:(successors spec) ()
+    ~initial:(Ast.normalize spec.Ast.init) ~successors ()
 
 let first_deadlock ?(max_states = 1_000_000) spec =
-  let module Table = Hashtbl.Make (Term_state) in
-  let seen = Table.create 1024 in
+  let module Seen = Hashtbl.Make (Term_state) in
+  let table = Semantics.table spec in
+  let seen = Seen.create 1024 in
   let queue = Queue.create () in
-  let initial = Ast.normalize spec.Ast.init in
-  Table.replace seen initial ();
+  let visit term trace_rev =
+    if not (Seen.mem seen term) then begin
+      if Seen.length seen >= max_states then
+        raise (Explore.Too_many_states max_states);
+      Seen.replace seen term ();
+      Queue.add (term, trace_rev) queue
+    end
+  in
+  let initial = Semantics.intern table spec.Ast.init in
+  Seen.replace seen initial ();
   Queue.add (initial, []) queue;
-  let result = ref None in
-  (try
-     while not (Queue.is_empty queue) do
-       let term, trace_rev = Queue.pop queue in
-       let moves = Semantics.moves spec term in
-       if moves = [] then begin
-         result := Some (List.rev trace_rev);
-         raise Exit
-       end;
-       List.iter
-         (fun (label, next) ->
-            let next = Ast.normalize next in
-            if not (Table.mem seen next) then begin
-              if Table.length seen >= max_states then
-                raise (Mv_lts.Explore.Too_many_states max_states);
-              Table.replace seen next ();
-              Queue.add (next, Semantics.label_string label :: trace_rev) queue
-            end)
-         moves
-     done
-   with Exit -> ());
-  !result
+  let rec search () =
+    match Queue.take_opt queue with
+    | None -> None
+    | Some (term, trace_rev) -> (
+        match Semantics.successors table term with
+        | [] -> Some (List.rev trace_rev)
+        | moves ->
+          List.iter
+            (fun m -> visit m.Semantics.target (m.Semantics.name :: trace_rev))
+            moves;
+          search ())
+  in
+  search ()

@@ -1,9 +1,13 @@
 (** State-space generation: from an MVL specification to an explicit
     LTS (the CADP "generator" step of the flow).
 
-    States are closed behaviour terms, hashed structurally. Markovian
-    [rate] prefixes appear as ["rate <lambda>"] labels; the IMC layer
-    ({!Mv_imc}) recognizes and decodes them.
+    States are normalized closed behaviour terms, interned for the
+    length of one call ({!Semantics.table}): equal states are one
+    physical node whose hash was computed once from its children's, and
+    each subterm's moves are derived once and cached on it, so a
+    state's successors are assembled from its components' cached moves.
+    Markovian [rate] prefixes appear as ["rate <lambda>"] labels; the
+    IMC layer ({!Mv_imc}) recognizes and decodes them.
 
     Modeling caveat: a [hide] (or [rename]) {e inside} a recursive body
     accumulates one binder per unfolding and never converges to a
@@ -19,10 +23,10 @@ type outcome = {
 (** [generate ?pool ?max_states spec] explores breadth-first from
     [spec.init]. Default bound: 1_000_000 states; reaching it raises
     {!Mv_lts.Explore.Too_many_states}. With a [pool] of size > 1 the
-    frontier levels are expanded on all pool domains (MVL semantics is
-    pure, so concurrent [Semantics.moves] calls are safe); the
-    resulting LTS — numbering, transitions, labels — is identical to
-    the sequential one (see {!Mv_lts.Explore.Make.run}).
+    frontier levels are expanded on all pool domains, interning into a
+    lock-free {!Mv_par.Shard_set}; the resulting LTS — numbering,
+    transitions, labels — is identical to the sequential one (see
+    {!Mv_lts.Explore.Make.run}).
     [tick] is forwarded to {!Mv_lts.Explore.Make.run}: a cooperative
     budget checkpoint called with the discovered-state count.
     [expect] pre-sizes the exploration hash tables (a hint, never a
@@ -49,7 +53,10 @@ val lts :
     interned into [labels]) instead of materializing an LTS, with the
     seen set spilling to sorted runs in [scratch_dir] past
     [hot_budget_bytes] — see {!Mv_lts.Explore.Make.run_ooc}. The
-    emitted LTS is identical to what {!generate} builds in RAM. *)
+    emitted LTS is identical to what {!generate} builds in RAM. States
+    stay whole terms here (the seen set keys them by their marshalled
+    bytes) and each expansion interns into a table of its own, so no
+    table outlives a state's expansion. *)
 val generate_ooc :
   ?tick:(states:int -> unit) ->
   ?max_states:int ->
@@ -65,6 +72,6 @@ val generate_ooc :
     deadlocked state {e during} generation and stops at the first hit,
     returning a shortest action trace to it (so large live portions of
     the state space need not be fully built when a deadlock is
-    shallow). [None] when the whole (bounded) state space is
-    deadlock-free. *)
+    shallow). It explores the same interned states as {!generate}.
+    [None] when the whole (bounded) state space is deadlock-free. *)
 val first_deadlock : ?max_states:int -> Ast.spec -> string list option

@@ -17,42 +17,80 @@ type t = {
   mutable rev : rev option;
 }
 
-let compare_triple (s1, l1, d1) (s2, l2, d2) =
-  match compare s1 s2 with
-  | 0 -> (match compare l1 l2 with 0 -> compare d1 d2 | c -> c)
-  | c -> c
+(* Sort the row [lo, hi) of the parallel arrays [lbl]/[dst] on (label,
+   destination). Rows are short — BFS states have a handful of moves —
+   so insertion sort; long rows go through a pair array. *)
+let sort_row lbl dst lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let l = lbl.(i) and d = dst.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && (lbl.(!j) > l || (lbl.(!j) = l && dst.(!j) > d)) do
+        lbl.(!j + 1) <- lbl.(!j);
+        dst.(!j + 1) <- dst.(!j);
+        decr j
+      done;
+      lbl.(!j + 1) <- l;
+      dst.(!j + 1) <- d
+    done
+  else begin
+    let pairs = Array.init (hi - lo) (fun k -> (lbl.(lo + k), dst.(lo + k))) in
+    Array.sort
+      (fun ((l1 : int), (d1 : int)) (l2, d2) ->
+         if l1 <> l2 then compare l1 l2 else compare d1 d2)
+      pairs;
+    Array.iteri
+      (fun k (l, d) ->
+         lbl.(lo + k) <- l;
+         dst.(lo + k) <- d)
+      pairs
+  end
 
+(* Counting sort by source, then each row sorted on (label,
+   destination) and stripped of duplicates in place. *)
 let make_array ~nb_states ~initial ~labels transitions =
   if initial < 0 || initial >= nb_states then invalid_arg "Lts.make: initial";
-  Array.sort compare_triple transitions;
   let n = Array.length transitions in
-  (* count distinct *)
-  let distinct = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || compare_triple transitions.(i) transitions.(i - 1) <> 0 then
-      incr distinct
-  done;
-  let m = !distinct in
-  let src = Array.make (max m 1) 0
-  and lbl = Array.make (max m 1) 0
-  and dst = Array.make (max m 1) 0 in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || compare_triple transitions.(i) transitions.(i - 1) <> 0 then begin
-      let s, l, d = transitions.(i) in
-      if s < 0 || s >= nb_states || d < 0 || d >= nb_states then
-        invalid_arg "Lts.make: state out of range";
-      src.(!j) <- s; lbl.(!j) <- l; dst.(!j) <- d;
-      incr j
-    end
-  done;
   let row = Array.make (nb_states + 1) 0 in
-  for i = 0 to m - 1 do
-    row.(src.(i) + 1) <- row.(src.(i) + 1) + 1
-  done;
+  Array.iter
+    (fun (s, _, d) ->
+       if s < 0 || s >= nb_states || d < 0 || d >= nb_states then
+         invalid_arg "Lts.make: state out of range";
+       row.(s + 1) <- row.(s + 1) + 1)
+    transitions;
   for s = 1 to nb_states do
     row.(s) <- row.(s) + row.(s - 1)
   done;
+  let lbl = Array.make (max n 1) 0 and dst = Array.make (max n 1) 0 in
+  let fill = Array.sub row 0 nb_states in
+  Array.iter
+    (fun (s, l, d) ->
+       let j = fill.(s) in
+       lbl.(j) <- l;
+       dst.(j) <- d;
+       fill.(s) <- j + 1)
+    transitions;
+  let m = ref 0 in
+  for s = 0 to nb_states - 1 do
+    let lo = row.(s) and hi = row.(s + 1) in
+    sort_row lbl dst lo hi;
+    row.(s) <- !m;
+    for i = lo to hi - 1 do
+      if i = lo || lbl.(i) <> lbl.(!m - 1) || dst.(i) <> dst.(!m - 1) then begin
+        lbl.(!m) <- lbl.(i);
+        dst.(!m) <- dst.(i);
+        incr m
+      end
+    done
+  done;
+  let m = !m in
+  row.(nb_states) <- m;
+  let src = Array.make (max m 1) 0 in
+  for s = 0 to nb_states - 1 do
+    Array.fill src row.(s) (row.(s + 1) - row.(s)) s
+  done;
+  let lbl = if m = n then lbl else Array.sub lbl 0 (max m 1)
+  and dst = if m = n then dst else Array.sub dst 0 (max m 1) in
   { nb_states; initial; labels; src; lbl; dst; row; rev = None }
 
 let make ~nb_states ~initial ~labels transitions =

@@ -18,8 +18,7 @@ val make :
   (int * int * int) list ->
   t
 
-(** Like {!make} but from an array (takes ownership; the array is
-    sorted in place). *)
+(** Like {!make} but from an array (left unchanged). *)
 val make_array :
   nb_states:int ->
   initial:int ->

@@ -184,6 +184,34 @@ let test_make_array_and_relabel () =
        (Option.get (Label.find (Lts.labels relabeled) "flip"))
        0)
 
+(* rows longer and shorter than the insertion-sort cutoff, with
+   duplicates, in arbitrary order: the arrays are those of a plain
+   sort-and-dedup of the triples *)
+let make_array_prop =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 6 >>= fun nb_states ->
+      list_size (int_bound 120)
+        (triple (int_bound (nb_states - 1)) (int_bound 3) (int_bound (nb_states - 1)))
+      >|= fun triples -> (nb_states, triples))
+  in
+  QCheck2.Test.make ~name:"make_array = sort + dedup" ~count:200 gen
+    (fun (nb_states, triples) ->
+       let labels = Label.create () in
+       List.iter (fun l -> ignore (Label.intern labels l)) [ "a"; "b"; "c" ];
+       let input = Array.of_list triples in
+       let lts = Lts.make_array ~nb_states ~initial:0 ~labels input in
+       let actual = ref [] in
+       Lts.iter_transitions lts (fun s l d -> actual := (s, l, d) :: !actual);
+       input = Array.of_list triples
+       && List.rev !actual = List.sort_uniq compare triples
+       && List.for_all
+            (fun s ->
+               Lts.out_degree lts s
+               = List.length (List.filter (fun (s', _, _) -> s' = s)
+                                (List.sort_uniq compare triples)))
+            (List.init nb_states Fun.id))
+
 let test_label_table_growth () =
   (* exceed the initial capacity of the interning table *)
   let t = Label.create () in
@@ -334,6 +362,7 @@ let suite =
     Alcotest.test_case "aut bare labels" `Quick test_aut_bare_labels;
     Alcotest.test_case "aut errors" `Quick test_aut_errors;
     QCheck_alcotest.to_alcotest aut_round_trip_prop;
+    QCheck_alcotest.to_alcotest make_array_prop;
     Alcotest.test_case "make_array/relabel" `Quick test_make_array_and_relabel;
     Alcotest.test_case "label table growth" `Quick test_label_table_growth;
     Alcotest.test_case "pp smoke" `Quick test_pp_smoke;

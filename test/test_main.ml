@@ -14,6 +14,7 @@ let () =
       ("mcl", Test_mcl.suite);
       ("calc", Test_calc.suite);
       ("calc-laws", Test_calc_laws.suite);
+      ("state-space", Test_state_space.suite);
       ("chp", Test_chp.suite);
       ("imc", Test_imc.suite);
       ("compose", Test_compose.suite);
