@@ -22,6 +22,9 @@ module Mvb = Mv_store.Mvb
 let f = Report.float_cell
 let pc = Report.percent_cell
 
+(* The default flow configuration, keeping [gates] visible. *)
+let keep gates = Flow.Config.(default |> with_keep gates)
+
 (* ------------------------------------------------------------------ *)
 (* E1: FAME2 - MPI ping-pong latency prediction                        *)
 
@@ -208,7 +211,7 @@ let e2_xstream () =
     Mv_xstream.Queues.tandem ~arrival:e2_arrival ~transfer:4.0
       ~service:e2_service ~capacity1:3 ~capacity2:3
   in
-  let perf = Flow.performance ~keep:[ "pop" ] spec in
+  let perf = Flow.Run.performance (keep [ "pop" ]) spec in
   let numeric = Flow.throughput perf ~gate:"pop" in
   let simulated =
     Mv_sim.Des.throughput perf.Flow.imc ~action:"pop" ~horizon:20_000.0
@@ -245,7 +248,7 @@ let e2_xstream () =
 
 let e3_verification () =
   let check name spec properties =
-    let v = Flow.verify spec properties in
+    let v = Flow.Run.verify Flow.Config.default spec properties in
     List.map
       (fun r ->
          [ name;
@@ -271,7 +274,9 @@ let e3_verification () =
       (Mv_faust.Router.properties ~id:"r")
     @ [ (let spec = Mv_faust.Router.single_packet_spec ~id:"r" ~input:0 ~dest:1 in
          let name, formula = Mv_faust.Router.delivery_property ~id:"r" ~dest:1 in
-         let v = Flow.verify spec [ (name, formula) ] in
+         let v =
+           Flow.Run.verify Flow.Config.default spec [ (name, formula) ]
+         in
          match v.Flow.results with
          | [ r ] ->
            [ "FAUST router (1 packet)";
@@ -541,14 +546,14 @@ let e7_minimization () =
          let spec =
            Mv_xstream.Queues.single ~arrival:2.0 ~service:3.0 ~capacity
          in
-         let perf = Flow.performance ~keep:[ "pop" ] spec in
+         let perf = Flow.Run.performance (keep [ "pop" ]) spec in
          [ Printf.sprintf "queue capacity %d" capacity;
            string_of_int (Imc.nb_states perf.Flow.imc);
            string_of_int (Imc.nb_states perf.Flow.lumped);
            string_of_int (Ctmc.nb_states perf.Flow.conversion.To_ctmc.ctmc) ])
       [ 4; 8; 16 ]
     @ [ (let perf =
-           Flow.performance ~keep:[ "done" ]
+           Flow.Run.performance (keep [ "done" ])
              (Mv_xstream.Queues.dual_server ~arrival:3.0 ~service:2.0)
          in
          [ "2 identical engines (symmetry)";
@@ -616,6 +621,7 @@ let e8_scaling () =
     if domains = 1 then f None
     else Mv_par.Pool.scope ~domains (fun pool -> f (Some pool))
   in
+  let config pool = Flow.Config.(default |> with_pool pool) in
   let fame_spec = Mv_fame.Distributed.spec Mv_fame.Distributed.Correct in
   let faust_spec =
     Mv_faust.Mesh.spec Mv_faust.Mesh.Port_buffered
@@ -627,14 +633,18 @@ let e8_scaling () =
   in
   let tasks =
     [ ("FAME2 MSI directory: generate",
-       fun pool () -> ignore (Flow.generate ?pool fame_spec));
+       fun pool () -> ignore (Flow.Run.generate (config pool) fame_spec));
       ("FAUST 2x2 mesh: generate + branching min.",
        fun pool () ->
          ignore (Mv_bisim.Branching.minimize ?pool
-                   (Flow.generate ?pool faust_spec)));
+                   (Flow.Run.generate (config pool) faust_spec)));
       ("xSTream tandem: performance solve",
        fun pool () ->
-         let perf = Flow.performance ?pool ~keep:[ "pop" ] queue_spec in
+         let perf =
+           Flow.Run.performance
+             (Flow.Config.with_keep [ "pop" ] (config pool))
+             queue_spec
+         in
          ignore (Flow.throughputs perf)) ]
   in
   let rows =
@@ -679,7 +689,7 @@ let bechamel_kernels () =
               (Mv_xstream.Queues.single ~arrival:2.0 ~service:3.0 ~capacity:4)
               ~capacity:4);
         kernel "e3:router-verification" (fun () ->
-            Flow.verify
+            Flow.Run.verify Flow.Config.default
               (Mv_faust.Router.closed_spec ~id:"b")
               (Mv_faust.Router.properties ~id:"b"));
         kernel "e4:erlang-32-passage" (fun () ->
@@ -781,8 +791,9 @@ let write_bench_json path =
 (* E10: flat-array kernels vs legacy signature engines                 *)
 
 (* The Mv_kern comparison: for each case-study LTS, minimize with the
-   legacy signature engines and with the flat-array engines (strong =
-   splitter worklist, branching = packed signatures over CSR), check
+   legacy signature engines (the sequential test oracle, Mv_oracle in
+   test/oracle/) and with the flat-array engines (strong = splitter
+   worklist, branching = packed signatures over CSR), check
    the quotients are byte-identical (same .aut text, block ids
    included — the property the Mv_store cache keys depend on), and
    time both (best of 3). Then the solver kernels: Gauss-Seidel vs
@@ -819,19 +830,19 @@ let e10_kernels () =
   List.iter
     (fun (name, lts) ->
        let strong = Mv_bisim.Strong.minimize lts in
-       let strong_legacy = Mv_bisim.Strong.minimize_legacy lts in
+       let strong_legacy = Mv_oracle.Strong.minimize lts in
        let branching = Mv_bisim.Branching.minimize lts in
-       let branching_legacy = Mv_bisim.Branching.minimize_legacy lts in
+       let branching_legacy = Mv_oracle.Branching.minimize lts in
        let identical =
          Mv_lts.Aut.to_string strong = Mv_lts.Aut.to_string strong_legacy
          && Mv_lts.Aut.to_string branching
             = Mv_lts.Aut.to_string branching_legacy
        in
        let ts = best_of_3 (fun () -> Mv_bisim.Strong.minimize lts) in
-       let tsl = best_of_3 (fun () -> Mv_bisim.Strong.minimize_legacy lts) in
+       let tsl = best_of_3 (fun () -> Mv_oracle.Strong.minimize lts) in
        let tb = best_of_3 (fun () -> Mv_bisim.Branching.minimize lts) in
        let tbl =
-         best_of_3 (fun () -> Mv_bisim.Branching.minimize_legacy lts)
+         best_of_3 (fun () -> Mv_oracle.Branching.minimize lts)
        in
        let speedup t_legacy t_kern =
          if t_kern > 0.0 then t_legacy /. t_kern else 0.0
@@ -873,7 +884,7 @@ let e10_kernels () =
     (List.rev !rows);
   (* solver kernels on the xSTream tandem steady-state *)
   let perf =
-    Flow.performance ~keep:[ "pop" ]
+    Flow.Run.performance (keep [ "pop" ])
       (Mv_xstream.Queues.tandem ~arrival:e2_arrival ~transfer:4.0
          ~service:e2_service ~capacity1:12 ~capacity2:12)
   in

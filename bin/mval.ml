@@ -508,7 +508,6 @@ let generate_cmd =
                   max_states = Some max_states;
                   cache;
                   budget = local_budget budget;
-                  out_of_core = ooc;
                   mem_budget_mb = mem_budget;
                   scratch_dir = scratch;
                   expect;
@@ -616,7 +615,6 @@ let minimize_cmd =
                     pool;
                     cache;
                     budget;
-                    out_of_core = true;
                     mem_budget_mb = mem_budget;
                     scratch_dir = scratch;
                   }

@@ -37,11 +37,12 @@ let model_with distribution =
   spec
 
 let () =
+  let config = Flow.Config.(default |> with_keep [ "done" ]) in
   (* any phase-type distribution slots into the same functional model *)
   let rows =
     List.map
       (fun (name, distribution) ->
-         let perf = Flow.performance ~keep:[ "done" ] (model_with distribution) in
+         let perf = Flow.Run.performance config (model_with distribution) in
          [ name;
            string_of_int (Phase.nb_phases distribution);
            Report.float_cell (Phase.mean distribution);
@@ -66,9 +67,7 @@ let () =
     List.map
       (fun phases ->
          let distribution = Phase.erlang_of_deterministic ~phases ~delay in
-         let perf =
-           Flow.performance ~keep:[ "done" ] (model_with distribution)
-         in
+         let perf = Flow.Run.performance config (model_with distribution) in
          let ctmc_states =
            Mv_markov.Ctmc.nb_states perf.Flow.conversion.Mv_imc.To_ctmc.ctmc
          in

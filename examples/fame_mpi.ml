@@ -17,7 +17,9 @@ module Report = Mv_core.Report
 let () =
   (* 1. Verify the message-level MSI directory protocol *)
   let verify label bug properties =
-    let v = Flow.verify (Distributed.spec bug) properties in
+    let v =
+      Flow.Run.verify Flow.Config.default (Distributed.spec bug) properties
+    in
     Printf.printf "%s (%d states):\n" label
       (Mv_lts.Lts.nb_states v.Flow.lts);
     List.iter

@@ -12,8 +12,12 @@ module Net = Mv_compose.Net
 module Report = Mv_core.Report
 
 let () =
+  let config = Flow.Config.default in
   (* 1. Verify the router (CHP -> MVL -> LTS -> model checking) *)
-  let v = Flow.verify (Router.closed_spec ~id:"r0") (Router.properties ~id:"r0") in
+  let v =
+    Flow.Run.verify config (Router.closed_spec ~id:"r0")
+      (Router.properties ~id:"r0")
+  in
   Format.printf "router under saturating traffic: %a@." Mv_lts.Lts.pp v.Flow.lts;
   List.iter
     (fun r ->
@@ -21,7 +25,9 @@ let () =
          (if r.Flow.holds then "holds" else "VIOLATED"))
     v.Flow.results;
   let spec = Router.single_packet_spec ~id:"r0" ~input:0 ~dest:1 in
-  let v1 = Flow.verify spec [ Router.delivery_property ~id:"r0" ~dest:1 ] in
+  let v1 =
+    Flow.Run.verify config spec [ Router.delivery_property ~id:"r0" ~dest:1 ]
+  in
   List.iter
     (fun r ->
        Printf.printf "  %-45s %s\n" r.Flow.property_name
@@ -50,7 +56,7 @@ let () =
        (Mv_lts.Trace.to_string t)
    | None -> print_endline "2x2 mesh, shared-buffer routers: no deadlock (?)");
   let spec = Mv_faust.Mesh.spec Mv_faust.Mesh.Port_buffered ~flows in
-  let vm = Flow.verify spec (Mv_faust.Mesh.properties ~flows) in
+  let vm = Flow.Run.verify config spec (Mv_faust.Mesh.properties ~flows) in
   Printf.printf "2x2 mesh, port-buffered routers: %d states, all properties %s\n"
     (Mv_lts.Lts.nb_states vm.Flow.lts)
     (if Flow.all_hold vm then "hold" else "VIOLATED");

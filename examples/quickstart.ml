@@ -23,9 +23,10 @@ init (Producer |[put]| Buffer(0)) |[get]| Consumer
 
 let () =
   (* 2. Functional verification: generate the state space, minimize it,
-     check temporal properties. *)
+     check temporal properties. Every [Flow.Run] pipeline takes a
+     [Flow.Config.t] first; here [put] is hidden before minimization. *)
   let verification =
-    Flow.verify ~hide:[ "put" ] model
+    Flow.Run.verify Flow.Config.(default |> with_hide [ "put" ]) model
       [
         ("no deadlock", Formula.Macro.deadlock_free);
         ( "every put is eventually followed by a get",
@@ -46,7 +47,9 @@ let () =
 
   (* 3. Performance evaluation: same model, stochastic pipeline.
      The [get] gate stays visible so its throughput can be queried. *)
-  let perf = Flow.performance ~keep:[ "get" ] model in
+  let perf =
+    Flow.Run.performance Flow.Config.(default |> with_keep [ "get" ]) model
+  in
   let throughput = Flow.throughput perf ~gate:"get" in
   Printf.printf "\nthroughput(get)        = %.4f jobs/s\n" throughput;
   Printf.printf "mean time to first get = %.4f s\n"

@@ -9,19 +9,6 @@ let tau_scc lts =
   let iter_succ s f = Lts.iter_out lts s (fun l d -> if l = Label.tau then f d) in
   Scc.compute ~nb_states:(Lts.nb_states lts) ~iter_succ
 
-let divergence_free lts =
-  let scc = tau_scc lts in
-  (* a tau cycle exists iff some tau-SCC is non-trivial or has a tau
-     self-loop *)
-  let size = Array.make scc.count 0 in
-  Array.iter (fun c -> size.(c) <- size.(c) + 1) scc.component;
-  let divergent = ref false in
-  Array.iter (fun members -> if members > 1 then divergent := true) size;
-  if not !divergent then
-    Lts.iter_transitions lts (fun s l d ->
-        if l = Label.tau && s = d then divergent := true);
-  not !divergent
-
 (* Collapse tau-SCCs. Tarjan numbers components in reverse topological
    order of the condensation, so in the collapsed system every tau edge
    goes from a higher id to a lower id: increasing id order is a valid
@@ -46,113 +33,20 @@ let collapse lts =
   in
   (collapsed, scc.component, divergent)
 
-let signatures_legacy ?pool ?(divergent = [||]) collapsed (p : Partition.t) =
-  let n = Lts.nb_states collapsed in
-  let sigs = Array.make n [] in
-  let compute s =
-    (* every tau successor d of s has d < s, so sigs.(d) is final *)
-    let direct =
-      Lts.fold_out collapsed s
-        (fun l d acc ->
-           if l = Label.tau && p.block_of.(d) = p.block_of.(s) then acc
-           else (l, p.block_of.(d)) :: acc)
-        []
-    in
-    let inherited =
-      Lts.fold_out collapsed s
-        (fun l d acc ->
-           if l = Label.tau && p.block_of.(d) = p.block_of.(s) then
-             List.rev_append sigs.(d) acc
-           else acc)
-        []
-    in
-    (* divergence sensitivity: a divergent state carries the marker
-       (-1, -1), which no real (label, block) pair can produce *)
-    let marker =
-      if Array.length divergent > 0 && divergent.(s) then [ (-1, -1) ] else []
-    in
-    sigs.(s) <- List.sort_uniq compare (marker @ List.rev_append direct inherited)
-  in
-  (match pool with
-   | Some pool when Mv_par.Pool.size pool > 1 && n > 64 ->
-     (* Signature inheritance follows inert tau edges, so states are
-        scheduled by their height in the inert-tau DAG: everything at
-        one height depends only on strictly lower heights, making each
-        height an independent parallel batch. Heights are recomputed
-        per round (inertness depends on the current partition); one
-        sequential O(m) pass suffices because tau edges always point
-        to lower state ids. *)
-     let height = Array.make n 0 in
-     let max_height = ref 0 in
-     for s = 0 to n - 1 do
-       let h =
-         Lts.fold_out collapsed s
-           (fun l d acc ->
-              if l = Label.tau && p.block_of.(d) = p.block_of.(s) then
-                max acc (height.(d) + 1)
-              else acc)
-           0
-       in
-       height.(s) <- h;
-       if h > !max_height then max_height := h
-     done;
-     let offsets = Array.make (!max_height + 2) 0 in
-     Array.iter (fun h -> offsets.(h + 1) <- offsets.(h + 1) + 1) height;
-     for h = 1 to !max_height + 1 do
-       offsets.(h) <- offsets.(h) + offsets.(h - 1)
-     done;
-     let by_height = Array.make n 0 in
-     let fill = Array.copy offsets in
-     for s = 0 to n - 1 do
-       let h = height.(s) in
-       by_height.(fill.(h)) <- s;
-       fill.(h) <- fill.(h) + 1
-     done;
-     for h = 0 to !max_height do
-       Mv_par.Pool.for_ ~pool ~lo:offsets.(h) ~hi:offsets.(h + 1)
-         (fun i -> compute by_height.(i))
-     done
-   | _ ->
-     for s = 0 to n - 1 do
-       compute s
-     done);
-  sigs
+let divergence_free lts =
+  let _, _, divergent = collapse lts in
+  not (Array.exists Fun.id divergent)
 
-let refine_legacy ?pool ?divergent collapsed =
-  let n = Lts.nb_states collapsed in
-  let rec loop (p : Partition.t) =
-    let sigs = signatures_legacy ?pool ?divergent collapsed p in
-    let keys : (int * (int * int) list, int) Hashtbl.t = Hashtbl.create 256 in
-    let block_of = Array.make n 0 in
-    let next = ref 0 in
-    for s = 0 to n - 1 do
-      let key = (p.block_of.(s), sigs.(s)) in
-      let id =
-        match Hashtbl.find_opt keys key with
-        | Some id -> id
-        | None ->
-          let id = !next in
-          incr next;
-          Hashtbl.replace keys key id;
-          id
-      in
-      block_of.(s) <- id
-    done;
-    let p' : Partition.t = { block_of; count = !next } in
-    if p'.count = p.count then p' else loop p'
-  in
-  loop (Partition.trivial n)
-
-(* Flat engine: same fixpoint as the legacy one, but signatures are
-   packed int arrays over a CSR index built once — a non-inert move
-   (l, b) becomes the single word [l * (n+1) + b] (injective since
-   blocks are < n+1), the divergence marker is [-1] (no packed move is
-   negative), and inherited signatures are blitted then
-   sorted/deduplicated in place. Packing is injective, so two flat
-   signatures are equal exactly when the legacy signature lists are:
-   every round groups the states identically, ids are assigned by
-   first occurrence in state order either way, and the resulting
-   partitions are identical — blocks and ids both. *)
+(* Signature refinement over packed int arrays and a CSR index built
+   once. The signature of a state is the set of its non-inert moves
+   (l, b), each packed into the single word [l * (n+1) + b] (injective
+   since blocks are < n+1), plus the signatures inherited along inert
+   taus, blitted in and then sorted/deduplicated in place; a divergent
+   state also carries the marker [-1] (no packed move is negative).
+   Each round keys a state by its old block and its signature, and
+   {!Sig_table} numbers the new blocks by first occurrence in state
+   order. Only the signatures are computed in parallel; the numbering
+   is sequential, so the partition does not depend on the pool. *)
 let signatures ?pool ?(divergent = [||]) fwd (p : Partition.t) =
   let n = Csr.nb_rows fwd in
   let base = n + 1 in
@@ -193,9 +87,13 @@ let signatures ?pool ?(divergent = [||]) fwd (p : Partition.t) =
   in
   (match pool with
    | Some pool when Mv_par.Pool.size pool > 1 && n > 64 ->
-     (* same height-batched schedule as the legacy engine: everything
-        at one height of the inert-tau DAG depends only on strictly
-        lower heights *)
+     (* Signature inheritance follows inert tau edges, so states are
+        scheduled by their height in the inert-tau DAG: everything at
+        one height depends only on strictly lower heights, making each
+        height an independent parallel batch. Heights are recomputed
+        per round (inertness depends on the current partition); one
+        sequential pass suffices because tau edges always point to
+        lower state ids. *)
      let height = Array.make n 0 in
      let max_height = ref 0 in
      for s = 0 to n - 1 do
@@ -260,15 +158,12 @@ let divergence_closure collapsed divergent =
   done;
   delta
 
-let partition_with
-    ~(refine :
-        ?pool:Mv_par.Pool.t -> ?divergent:bool array -> Lts.t -> Partition.t)
-    ?pool ?(divergence_sensitive = false) lts =
+let partition ?pool ?(divergence_sensitive = false) lts =
   let collapsed, component, divergent = collapse lts in
   let p =
     if divergence_sensitive then
       refine ?pool ~divergent:(divergence_closure collapsed divergent) collapsed
-    else refine ?pool ?divergent:None collapsed
+    else refine ?pool collapsed
   in
   {
     Partition.block_of =
@@ -277,13 +172,8 @@ let partition_with
     count = p.Partition.count;
   }
 
-let partition ?pool ?divergence_sensitive lts =
-  partition_with ~refine ?pool ?divergence_sensitive lts
-
-let partition_legacy ?pool ?divergence_sensitive lts =
-  partition_with ~refine:refine_legacy ?pool ?divergence_sensitive lts
-
-let minimize_from ?(divergence_sensitive = false) lts (p : Partition.t) =
+let minimize ?pool ?(divergence_sensitive = false) lts =
+  let p = partition ?pool ~divergence_sensitive lts in
   let quotient = Quotient.weak lts p in
   let quotient =
     if not divergence_sensitive then quotient
@@ -310,14 +200,6 @@ let minimize_from ?(divergence_sensitive = false) lts (p : Partition.t) =
     end
   in
   Lts.restrict_reachable quotient
-
-let minimize ?pool ?(divergence_sensitive = false) lts =
-  minimize_from ~divergence_sensitive lts
-    (partition ?pool ~divergence_sensitive lts)
-
-let minimize_legacy ?(divergence_sensitive = false) lts =
-  minimize_from ~divergence_sensitive lts
-    (partition_legacy ~divergence_sensitive lts)
 
 let equivalent ?pool ?(divergence_sensitive = false) a b =
   let union, offset = Union.disjoint a b in

@@ -8,16 +8,19 @@
     a state is the set of [(label, block)] moves reachable through
     inert tau steps, excluding inert tau itself.
 
-    The default engine packs each signature into a flat, sorted int
-    array over a CSR index built once ({!Mv_kern}), inheriting along
-    inert taus by array blit — no per-state list allocation or
-    polymorphic sorting. Its partitions are identical, block ids
-    included, to the legacy list engine's (see [doc/performance.md]).
+    Each signature is packed into a flat, sorted int array over a CSR
+    index built once ({!Mv_kern}), inheriting along inert taus by
+    array blit — no per-state list allocation or polymorphic sorting.
+    Blocks are numbered by first occurrence in state order, so the
+    partitions are identical, block ids included, to those of the
+    list-signature oracle kept under [test/oracle/] (see
+    [doc/performance.md]).
 
-    The optional [pool] parallelizes each round: states are batched by
-    height in the inert-tau DAG and every batch's signatures are
-    computed on all pool domains. The partition, quotient and verdict
-    are identical to the sequential ones. *)
+    A [pool] of size > 1 parallelizes each round on systems above 64
+    (collapsed) states: states are batched by height in the inert-tau
+    DAG and every batch's signatures are computed on all pool domains.
+    The partition, quotient and verdict are identical to the
+    sequential ones. *)
 
 (** Coarsest branching-bisimulation partition of the {e original}
     states. With [divergence_sensitive:true] (default [false]) the
@@ -45,14 +48,3 @@ val equivalent :
     (callers that need divergence-sensitive results can check this
     before trusting the divergence-blind quotient). *)
 val divergence_free : Mv_lts.Lts.t -> bool
-
-(** {1 Legacy engine}
-
-    The original list-signature rounds, kept as the cross-check oracle
-    for the flat engine and for the E10 benchmark. *)
-
-val partition_legacy :
-  ?pool:Mv_par.Pool.t -> ?divergence_sensitive:bool -> Mv_lts.Lts.t -> Partition.t
-
-val minimize_legacy :
-  ?divergence_sensitive:bool -> Mv_lts.Lts.t -> Mv_lts.Lts.t

@@ -1,74 +1,4 @@
 type t = { block_of : int array; count : int }
 
 let trivial nb_states = { block_of = Array.make nb_states 0; count = 1 }
-
-let of_classes ~nb_states class_of =
-  let dense = Hashtbl.create 64 in
-  let block_of = Array.make nb_states 0 in
-  let next = ref 0 in
-  for s = 0 to nb_states - 1 do
-    let c = class_of s in
-    let id =
-      match Hashtbl.find_opt dense c with
-      | Some id -> id
-      | None ->
-        let id = !next in
-        incr next;
-        Hashtbl.replace dense c id;
-        id
-    in
-    block_of.(s) <- id
-  done;
-  { block_of; count = !next }
-
-(* Parallelizing a refinement round: signature computation is
-   per-state independent (the map phase, where all the fold/sort work
-   is) and fans out over the pool; the densification of (old block,
-   signature) keys into new block ids stays sequential in state order,
-   which is what makes the resulting ids — and hence every later
-   round — identical to the sequential algorithm's. *)
-let signatures_of ?pool ~nb_states ~signature p =
-  match pool with
-  | Some pool when Mv_par.Pool.size pool > 1 && nb_states > 64 ->
-    let sigs = Array.make nb_states [] in
-    Mv_par.Pool.for_ ~pool ~lo:0 ~hi:nb_states (fun s ->
-        sigs.(s) <- signature p s);
-    fun s -> sigs.(s)
-  | _ -> fun s -> signature p s
-
-let refine_step ?pool ~nb_states ~signature p =
-  let signature_of = signatures_of ?pool ~nb_states ~signature p in
-  let keys : (int * (int * int) list, int) Hashtbl.t = Hashtbl.create 256 in
-  let block_of = Array.make nb_states 0 in
-  let next = ref 0 in
-  for s = 0 to nb_states - 1 do
-    let key = (p.block_of.(s), signature_of s) in
-    let id =
-      match Hashtbl.find_opt keys key with
-      | Some id -> id
-      | None ->
-        let id = !next in
-        incr next;
-        Hashtbl.replace keys key id;
-        id
-    in
-    block_of.(s) <- id
-  done;
-  { block_of; count = !next }
-
-let refine_until_stable ?pool ~nb_states ~signature p =
-  Mv_obs.Obs.span "bisim.refine" @@ fun () ->
-  let rounds = Mv_obs.Obs.counter "bisim.rounds" in
-  let blocks = Mv_obs.Obs.series "bisim.blocks" in
-  let rec loop p =
-    let p' = refine_step ?pool ~nb_states ~signature p in
-    Mv_obs.Obs.incr rounds;
-    Mv_obs.Obs.push blocks (float_of_int p'.count);
-    Mv_obs.Obs.progress (fun () ->
-        Printf.sprintf "bisim: %d block(s) over %d state(s)" p'.count
-          nb_states);
-    if p'.count = p.count then p' else loop p'
-  in
-  loop p
-
 let same_block p a b = p.block_of.(a) = p.block_of.(b)

@@ -1,11 +1,10 @@
-(** Partitions of state spaces and the generic signature-refinement
-    loop shared by the strong and branching minimizers.
+(** Partitions of state spaces, the common result type of the strong,
+    branching and lumping minimizers.
 
-    A partition maps every state to a dense block id. Refinement
-    re-splits every block according to a caller-supplied signature
-    function and repeats until the number of blocks is stable; since
-    the new key always includes the old block id, every step is a
-    proper refinement and the loop terminates in at most [n] rounds. *)
+    A partition maps every state to a dense block id. The minimizers
+    number blocks by first occurrence in state order, so the same
+    classes always get the same ids, and quotients built from them are
+    byte-identical. *)
 
 type t = {
   block_of : int array; (** state -> block id in [0 .. count-1] *)
@@ -14,26 +13,6 @@ type t = {
 
 (** All states in a single block. *)
 val trivial : int -> t
-
-(** [of_classes ~nb_states class_of] builds a partition from an
-    arbitrary labelling (ids are densified). *)
-val of_classes : nb_states:int -> (int -> int) -> t
-
-(** [refine_until_stable ?pool ~nb_states ~signature p] iterates
-    refinement. [signature p s] must return a canonical (sorted,
-    duplicate-free) representation of state [s]'s behaviour under
-    partition [p]; states of one block with equal signatures stay
-    together. With a [pool] of size > 1 each round's signatures are
-    computed on all pool domains ([signature] must then be safe to
-    call concurrently — it may read the shared partition and LTS but
-    not write); block ids are still assigned sequentially in state
-    order, so the result is identical to the sequential one. *)
-val refine_until_stable :
-  ?pool:Mv_par.Pool.t ->
-  nb_states:int ->
-  signature:(t -> int -> (int * int) list) ->
-  t ->
-  t
 
 (** [same_block p a b]. *)
 val same_block : t -> int -> int -> bool

@@ -3,22 +3,12 @@ module Label = Mv_lts.Label
 module Csr = Mv_kern.Csr
 module Refine = Mv_kern.Refine
 
-let signature lts (p : Partition.t) s =
-  let pairs = Lts.fold_out lts s (fun l d acc -> (l, p.block_of.(d)) :: acc) [] in
-  List.sort_uniq compare pairs
-
-let partition_legacy ?pool lts =
-  Partition.refine_until_stable ?pool ~nb_states:(Lts.nb_states lts)
-    ~signature:(signature lts)
-    (Partition.trivial (Lts.nb_states lts))
-
 (* The Mv_kern splitter-worklist engine touches, per splitter, only the
    predecessors of the splitter's states — no per-round full-signature
    recomputation — and renumbers the final blocks by first occurrence
-   in state order, so its partitions (and hence quotients) are
-   identical to the legacy engine's. Under a pool it gathers splitter
-   predecessors in parallel (round-based batches); the partition it
-   returns is byte-identical at every pool size. *)
+   in state order. Under a pool it gathers splitter predecessors in
+   parallel (round-based batches); the partition it returns is
+   byte-identical at every pool size. *)
 let partition ?pool lts =
   let block_of, count =
     Refine.strong ~pool
@@ -29,9 +19,6 @@ let partition ?pool lts =
 
 let minimize ?pool lts =
   Lts.restrict_reachable (Quotient.strong lts (partition ?pool lts))
-
-let minimize_legacy lts =
-  Lts.restrict_reachable (Quotient.strong lts (partition_legacy lts))
 
 let equivalent ?pool a b =
   let union, offset = Union.disjoint a b in

@@ -1,16 +1,17 @@
 (** Strong bisimulation.
 
-    The default engine is the {!Mv_kern.Refine} splitter worklist
-    (Valmari / Paige-Tarjan style, "process the smaller half" on
-    deterministic labels): per splitter it touches only the
-    predecessors of the splitter's states through a reverse CSR index,
-    instead of recomputing every state's signature every round. Its
-    partitions — block ids included — are identical to the legacy
-    signature engine's, so quotients are byte-identical and cache keys
-    stay valid; see [doc/performance.md].
+    The engine is the {!Mv_kern.Refine} splitter worklist (Valmari /
+    Paige-Tarjan style, "process the smaller half" on deterministic
+    labels): per splitter it touches only the predecessors of the
+    splitter's states through a reverse CSR index, instead of
+    recomputing every state's signature every round. Blocks are
+    numbered by first occurrence in state order, so quotients are
+    byte-identical to those of the signature-refinement oracle kept
+    under [test/oracle/]; see [doc/performance.md].
 
-    [pool] is accepted for API compatibility; the worklist engine is
-    sequential (and faster than the parallel legacy engine). *)
+    With a [pool] of size > 1, systems above 1024 states gather each
+    round's splitter predecessors on all pool domains; the partition
+    is identical, block ids included, at every pool size. *)
 
 (** Coarsest strong-bisimulation partition. *)
 val partition : ?pool:Mv_par.Pool.t -> Mv_lts.Lts.t -> Partition.t
@@ -22,13 +23,3 @@ val minimize : ?pool:Mv_par.Pool.t -> Mv_lts.Lts.t -> Mv_lts.Lts.t
 (** [equivalent a b] — strong bisimilarity of the initial states.
     Labels are matched by printed name. *)
 val equivalent : ?pool:Mv_par.Pool.t -> Mv_lts.Lts.t -> Mv_lts.Lts.t -> bool
-
-(** {1 Legacy engine}
-
-    Kanellakis-Smolka signature refinement (the signature of a state is
-    its set of [(label, successor block)] pairs, recomputed every
-    round). Kept as the cross-check oracle for the worklist engine and
-    for the E10 benchmark. *)
-
-val partition_legacy : ?pool:Mv_par.Pool.t -> Mv_lts.Lts.t -> Partition.t
-val minimize_legacy : Mv_lts.Lts.t -> Mv_lts.Lts.t

@@ -30,7 +30,6 @@ module Config = struct
     cache : Cache.t option;
     solve_method : Mv_kern.Solver.method_ option;
     budget : Budget.t option;
-    out_of_core : bool;
     mem_budget_mb : int option;
     scratch_dir : string option;
     expect : int option;
@@ -47,7 +46,6 @@ module Config = struct
       cache = None;
       solve_method = None;
       budget = None;
-      out_of_core = false;
       mem_budget_mb = None;
       scratch_dir = None;
       expect = None;
@@ -62,7 +60,6 @@ module Config = struct
   let with_scheduler scheduler t = { t with scheduler }
   let with_cache cache t = { t with cache }
   let with_budget budget t = { t with budget }
-  let with_out_of_core out_of_core t = { t with out_of_core }
   let with_mem_budget_mb mem_budget_mb t = { t with mem_budget_mb }
   let with_scratch_dir scratch_dir t = { t with scratch_dir }
   let with_expect expect t = { t with expect }
@@ -99,7 +96,7 @@ let max_states_param (config : Config.t) =
     | None -> "default" )
 
 (* ------------------------------------------------------------------ *)
-(* Result types (shared by Run and the legacy wrappers)                *)
+(* Result types                                                        *)
 
 type property_result = {
   property_name : string;
@@ -430,34 +427,7 @@ module Run = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Legacy entry points (thin wrappers over Run with an ad-hoc config)  *)
-
-let config ?pool ?max_states ?(hide = []) ?(keep = [])
-    ?(scheduler = To_ctmc.Uniform) () =
-  {
-    Config.pool;
-    max_states;
-    hide;
-    keep;
-    scheduler;
-    cache = None;
-    solve_method = None;
-    budget = None;
-    out_of_core = false;
-    mem_budget_mb = None;
-    scratch_dir = None;
-    expect = None;
-    compose_plan = `Naive;
-  }
-
-let generate ?pool ?max_states spec =
-  Run.generate (config ?pool ?max_states ()) spec
-
-let generate_compositional ?max_states spec =
-  Run.generate_compositional (config ?max_states ()) spec
-
-let verify ?pool ?max_states ?hide spec properties =
-  Run.verify (config ?pool ?max_states ?hide ()) spec properties
+(* Accessors                                                           *)
 
 let all_hold v = List.for_all (fun r -> r.holds) v.results
 
@@ -466,12 +436,6 @@ let deadlock_witness v = Mv_lts.Trace.shortest_to_deadlock v.lts
 let action_witness v ~gate =
   Mv_lts.Trace.shortest_to_action v.lts ~action:(fun name ->
       Label.gate name = gate)
-
-let performance_of_imc ?pool ?keep ?scheduler imc =
-  Run.performance_of_imc (config ?pool ?keep ?scheduler ()) imc
-
-let performance ?pool ?max_states ?keep ?scheduler spec =
-  Run.performance (config ?pool ?max_states ?keep ?scheduler ()) spec
 
 let steady_vector perf = fst (Lazy.force perf.steady)
 let solver_stats perf = snd (Lazy.force perf.steady)

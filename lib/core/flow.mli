@@ -14,13 +14,11 @@
     CTMC, and solved for steady-state or time-dependent measures and
     action throughputs.
 
-    Entry points come in two flavours. {!Run} is the canonical API:
-    every pipeline takes a {!Config.t} first, which carries the worker
-    pool, exploration bounds, gate lists, the CTMC scheduler and the
-    {!Mv_store.Cache} handle in one value instead of a drifting set of
-    optional arguments. The top-level functions ({!generate},
-    {!verify}, {!performance}, ...) are kept as thin wrappers for
-    existing callers and examples; new code should use {!Run}. *)
+    Every pipeline lives in {!Run} and takes a {!Config.t} first, which
+    carries the worker pool, exploration bounds, gate lists, the CTMC
+    scheduler and the {!Mv_store.Cache} handle in one value:
+    [Run.verify Config.default spec properties],
+    [Run.performance (Config.default |> Config.with_keep ["get"]) spec]. *)
 
 (** {1 Model entry points} *)
 
@@ -68,11 +66,6 @@ module Config : sig
             Like the pool, absent from cache keys: budgets bound
             computation, not results, so a warm cache hit always
             succeeds. *)
-    out_of_core : bool;
-        (** route generate/minimize through the streaming [.mvb]
-            pipeline ({!Run.generate_mvb} / {!Run.minimize_mvb}):
-            bounded RAM, spill and mmap scratch on disk. [mval
-            --out-of-core]. *)
     mem_budget_mb : int option;
         (** RAM target for the out-of-core path: half goes to the hot
             seen-set, the rest covers bloom bits and the current BFS
@@ -99,7 +92,6 @@ module Config : sig
   val with_keep : string list -> t -> t
   val with_scheduler : Mv_imc.To_ctmc.scheduler -> t -> t
   val with_cache : Mv_store.Cache.t option -> t -> t
-  val with_out_of_core : bool -> t -> t
   val with_mem_budget_mb : int option -> t -> t
   val with_scratch_dir : string option -> t -> t
   val with_expect : int option -> t -> t
@@ -129,7 +121,7 @@ type performance = {
       (** steady-state of the CTMC, with the iterative solve's stats *)
 }
 
-(** {1 The canonical API} *)
+(** {1 Pipelines} *)
 
 module Run : sig
   (** State-space generation; memoized through [config.cache] keyed on
@@ -201,45 +193,6 @@ module Run : sig
       built IMCs). *)
   val performance_of_imc : Config.t -> Mv_imc.Imc.t -> performance
 end
-
-(** {1 Legacy entry points}
-
-    Thin wrappers over {!Run} kept for existing callers; prefer
-    {!Run} with a {!Config.t} in new code. *)
-
-(** Deprecated spelling of {!Run.generate}. *)
-val generate :
-  ?pool:Mv_par.Pool.t -> ?max_states:int -> Mv_calc.Ast.spec -> Mv_lts.Lts.t
-
-(** Deprecated spelling of {!Run.generate_compositional}. *)
-val generate_compositional :
-  ?max_states:int -> Mv_calc.Ast.spec -> Mv_compose.Net.report
-
-(** Deprecated spelling of {!Run.verify}. *)
-val verify :
-  ?pool:Mv_par.Pool.t ->
-  ?max_states:int ->
-  ?hide:string list ->
-  Mv_calc.Ast.spec ->
-  (string * Mv_mcl.Formula.t) list ->
-  verification
-
-(** Deprecated spelling of {!Run.performance}. *)
-val performance :
-  ?pool:Mv_par.Pool.t ->
-  ?max_states:int ->
-  ?keep:string list ->
-  ?scheduler:Mv_imc.To_ctmc.scheduler ->
-  Mv_calc.Ast.spec ->
-  performance
-
-(** Deprecated spelling of {!Run.performance_of_imc}. *)
-val performance_of_imc :
-  ?pool:Mv_par.Pool.t ->
-  ?keep:string list ->
-  ?scheduler:Mv_imc.To_ctmc.scheduler ->
-  Mv_imc.Imc.t ->
-  performance
 
 (** {1 Accessors} *)
 

@@ -6,63 +6,17 @@ module Sig_table = Mv_kern.Sig_table
    see the interface for the rationale. *)
 let rate_key r = Printf.sprintf "%.12e" r
 
-let signatures_legacy imc (p : Partition.t) =
-  let n = Imc.nb_states imc in
-  let interactive_sig = Array.make n [] in
-  Imc.iter_interactive imc (fun s l d ->
-      interactive_sig.(s) <- (l, p.block_of.(d)) :: interactive_sig.(s));
-  let markov_acc : (int, float) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 4)
-  in
-  Imc.iter_markovian imc (fun s r d ->
-      let block = p.block_of.(d) in
-      let current = Option.value ~default:0.0 (Hashtbl.find_opt markov_acc.(s) block) in
-      Hashtbl.replace markov_acc.(s) block (current +. r));
-  Array.init n (fun s ->
-      let interactive = List.sort_uniq compare interactive_sig.(s) in
-      let markovian =
-        Hashtbl.fold (fun block r acc -> (block, rate_key r) :: acc) markov_acc.(s) []
-        |> List.sort compare
-      in
-      (interactive, markovian))
-
-let partition_legacy imc =
-  let n = Imc.nb_states imc in
-  let rec loop (p : Partition.t) =
-    let sigs = signatures_legacy imc p in
-    let keys = Hashtbl.create 256 in
-    let block_of = Array.make n 0 in
-    let next = ref 0 in
-    for s = 0 to n - 1 do
-      let key = (p.block_of.(s), sigs.(s)) in
-      let id =
-        match Hashtbl.find_opt keys key with
-        | Some id -> id
-        | None ->
-          let id = !next in
-          incr next;
-          Hashtbl.replace keys key id;
-          id
-      in
-      block_of.(s) <- id
-    done;
-    let p' : Partition.t = { block_of; count = !next } in
-    if p'.count = p.count then p' else loop p'
-  in
-  loop (Partition.trivial n)
-
-(* Flat engine over the Mv_kern signature table. An interactive move
-   (l, b) packs into the single word [l * (n+1) + b]; Markovian rates
-   accumulate per destination block into a scratch float array in the
-   exact per-state transition order of the legacy Hashtbl engine (so
-   the sums — and their [%.12e] roundings — are bitwise the same),
-   then enter the signature as [min_int; b1; rid1; b2; rid2; ...] with
-   blocks ascending, where [rid] interns the rounded rate string. The
-   [min_int] separator cannot collide with packed interactive words
-   (nonnegative), so two flat signatures are equal exactly when the
-   legacy pairs are: the per-round grouping, the first-occurrence ids,
-   and hence the final partition are all identical to the legacy
-   engine's. *)
+(* Signature refinement over the Mv_kern signature table. An
+   interactive move (l, b) packs into the single word [l * (n+1) + b];
+   Markovian rates accumulate per destination block into a scratch
+   float array in per-state transition order (the order the oracle
+   sums them in, so the roundings agree bitwise), are rounded by
+   [rate_key], and enter the signature as [min_int; b1; rid1; b2; rid2;
+   ...] with blocks ascending, where [rid] interns the rounded rate
+   string. The [min_int] separator cannot collide with packed
+   interactive words (nonnegative). Each round keys a state by its old
+   block and its signature, and new blocks are numbered by first
+   occurrence in state order. *)
 let partition imc =
   let n = Imc.nb_states imc in
   let rounds = Mv_obs.Obs.counter "lump.rounds" in
@@ -164,7 +118,6 @@ let quotient imc (p : Partition.t) =
     ~markovian:!markovian
 
 let minimize imc = quotient imc (partition imc)
-let minimize_legacy imc = quotient imc (partition_legacy imc)
 
 let equivalent a b =
   (* direct disjoint union (keeps Markovian multiplicities intact) *)

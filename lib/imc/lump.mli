@@ -10,11 +10,11 @@
     after rounding to 12 significant digits, so rate sums that differ
     only by floating-point association are lumped together.
 
-    The default engine packs signatures into flat int arrays over
-    {!Mv_kern.Sig_table} (rates summed in the same order and rounded
-    to the same strings as the legacy engine, then interned); its
-    partitions are identical to the legacy engine's, block ids
-    included, so quotients and cache keys are unchanged. *)
+    Signatures are packed into flat int arrays over
+    {!Mv_kern.Sig_table}, with rounded rate strings interned. Blocks
+    are numbered by first occurrence in state order, so the partitions
+    are identical, block ids included, to those of the list/Hashtbl
+    oracle kept under [test/oracle/]. *)
 
 (** Coarsest stochastic-bisimulation partition. *)
 val partition : Imc.t -> Mv_bisim.Partition.t
@@ -26,9 +26,3 @@ val minimize : Imc.t -> Imc.t
 
 (** [equivalent a b] — stochastic bisimilarity of initial states. *)
 val equivalent : Imc.t -> Imc.t -> bool
-
-(** {1 Legacy engine} — the original list/Hashtbl signature rounds,
-    kept as the cross-check oracle and for the E10 benchmark. *)
-
-val partition_legacy : Imc.t -> Mv_bisim.Partition.t
-val minimize_legacy : Imc.t -> Imc.t

@@ -275,18 +275,3 @@ let run cfg sys pi =
       (Float.exp
          (Float.log (!delta /. !first_delta) /. float_of_int (!sweeps - 1)));
   { sweeps = !sweeps; residual = !delta; converged = !delta <= cfg.tolerance }
-
-let steady_state ?pool ?(tolerance = 1e-13) ?(max_iterations = 200_000)
-    ~method_ sys pi =
-  let outcome =
-    run
-      {
-        method_;
-        omega = default_sor_omega;
-        tolerance;
-        max_sweeps = max_iterations;
-        pool;
-      }
-      sys pi
-  in
-  (outcome.sweeps, outcome.residual, outcome.converged)

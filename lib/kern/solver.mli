@@ -89,16 +89,6 @@ type outcome = { sweeps : int; residual : float; converged : bool }
     callers initialize it to a distribution). *)
 val run : config -> system -> float array -> outcome
 
-val steady_state :
-  ?pool:Mv_par.Pool.t ->
-  ?tolerance:float ->
-  ?max_iterations:int ->
-  method_:method_ ->
-  system ->
-  float array ->
-  int * float * bool
-[@@deprecated "build a Solver.config and use Solver.run"]
-
 (**/**)
 
 (** Exposed for tests: the colored order used by [Gauss_seidel]/[Sor]

@@ -695,9 +695,6 @@ let headlines () =
         add "contraction/iter" (Printf.sprintf "%.4f" r)
       | Some _ | None -> ())
    | Some _ | None -> ());
-  (match find_counter "bisim.rounds" with
-   | Some n when n > 0 -> add "refinement rounds" (string_of_int n)
-   | Some _ | None -> ());
   (match find_counter "des.events" with
    | Some n when n > 0 -> add "DES events" (string_of_int n)
    | Some _ | None -> ());

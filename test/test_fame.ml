@@ -9,6 +9,8 @@ module Benchmark = Mv_fame.Benchmark
 module Distributed = Mv_fame.Distributed
 module Flow = Mv_core.Flow
 
+let verify = Flow.Run.verify Flow.Config.default
+
 let exclusive = function
   | Protocol.MI | Protocol.IM -> true
   | Protocol.II | Protocol.SI | Protocol.IS | Protocol.SS
@@ -326,15 +328,12 @@ let test_program_validation () =
     ]
 
 let test_distributed_correct () =
-  let v =
-    Flow.verify (Distributed.spec Distributed.Correct) Distributed.properties
-  in
+  let v = verify (Distributed.spec Distributed.Correct) Distributed.properties in
   Alcotest.(check bool) "all properties hold" true (Flow.all_hold v)
 
 let test_grant_before_ack_caught () =
   let v =
-    Flow.verify
-      (Distributed.spec Distributed.Grant_before_ack)
+    verify (Distributed.spec Distributed.Grant_before_ack)
       [ Distributed.coherence ]
   in
   Alcotest.(check bool) "race caught" false (Flow.all_hold v);
@@ -351,8 +350,7 @@ let test_grant_before_ack_caught () =
 
 let test_distributed_bug_caught () =
   let v =
-    Flow.verify
-      (Distributed.spec Distributed.Dropped_invalidation)
+    verify (Distributed.spec Distributed.Dropped_invalidation)
       [ Distributed.coherence ]
   in
   Alcotest.(check bool) "coherence violated" false (Flow.all_hold v)

@@ -7,6 +7,8 @@ module Flow = Mv_core.Flow
 module Net = Mv_compose.Net
 module Lts = Mv_lts.Lts
 
+let verify = Flow.Run.verify Flow.Config.default
+
 let close ?(eps = 1e-8) msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: expected %.8g, got %.8g" msg expected actual)
@@ -15,7 +17,7 @@ let close ?(eps = 1e-8) msg expected actual =
 
 let test_router_properties () =
   let spec = Router.closed_spec ~id:"t" in
-  let v = Flow.verify spec (Router.properties ~id:"t") in
+  let v = verify spec (Router.properties ~id:"t") in
   Alcotest.(check bool) "all properties hold" true (Flow.all_hold v);
   Alcotest.(check (list int)) "no deadlocks" [] v.Flow.deadlock_states
 
@@ -23,7 +25,7 @@ let test_single_packet_delivery () =
   List.iter
     (fun (input, dest) ->
        let spec = Router.single_packet_spec ~id:"t" ~input ~dest in
-       let v = Flow.verify spec [ Router.delivery_property ~id:"t" ~dest ] in
+       let v = verify spec [ Router.delivery_property ~id:"t" ~dest ] in
        Alcotest.(check bool)
          (Printf.sprintf "in%d -> out%d inevitable" input dest)
          true (Flow.all_hold v))
@@ -43,7 +45,7 @@ init (Src |[in0_t]| Bad) |[out0_t, out1_t]| (Sink0 ||| Sink1)
 |}
   in
   let v =
-    Flow.verify broken
+    verify broken
       [ ( "no misroute to port 0",
           Mv_mcl.Formula.Macro.never (Mv_mcl.Action_formula.Name "out0_t !1") ) ]
   in
@@ -117,7 +119,7 @@ let test_mesh_port_buffered_verifies () =
   List.iter
     (fun flows ->
        let spec = Mv_faust.Mesh.spec Mv_faust.Mesh.Port_buffered ~flows in
-       let v = Flow.verify spec (Mv_faust.Mesh.properties ~flows) in
+       let v = verify spec (Mv_faust.Mesh.properties ~flows) in
        Alcotest.(check bool) "all mesh properties hold" true (Flow.all_hold v))
     [ Mv_faust.Mesh.crossing_flows; all_crossing_flows ]
 

@@ -6,6 +6,8 @@ module Flow = Mv_core.Flow
 module Ctmc = Mv_markov.Ctmc
 module To_ctmc = Mv_imc.To_ctmc
 
+let keep gates = Flow.Config.(default |> with_keep gates)
+
 let close ?(eps = 1e-6) msg expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: expected %.8g, got %.8g" msg expected actual)
@@ -37,7 +39,7 @@ let test_model_of_text_errors () =
 let test_verify_pipeline () =
   let spec = Flow.model_of_text (mm1_text ~arrival:1.0 ~service:2.0 ~capacity:2) in
   let v =
-    Flow.verify ~hide:[ "push" ] spec
+    Flow.Run.verify Flow.Config.(default |> with_hide [ "push" ]) spec
       [
         ("deadlock free", Mv_mcl.Formula.Macro.deadlock_free);
         ( "pop reachable",
@@ -59,7 +61,7 @@ let test_verify_pipeline () =
 let test_performance_matches_analytic () =
   let arrival = 2.0 and service = 3.0 and capacity = 3 in
   let spec = Flow.model_of_text (mm1_text ~arrival ~service ~capacity) in
-  let perf = Flow.performance ~keep:[ "pop" ] spec in
+  let perf = Flow.Run.performance (keep [ "pop" ]) spec in
   let k = capacity + 2 in
   close ~eps:1e-8 "throughput"
     (Mv_xstream.Analytic.throughput ~arrival ~service ~k)
@@ -68,7 +70,7 @@ let test_performance_matches_analytic () =
 let test_performance_lumping_consistent () =
   let arrival = 2.0 and service = 3.0 and capacity = 3 in
   let spec = Flow.model_of_text (mm1_text ~arrival ~service ~capacity) in
-  let perf = Flow.performance ~keep:[ "pop" ] spec in
+  let perf = Flow.Run.performance (keep [ "pop" ]) spec in
   (* computing on the unlumped IMC gives the same throughput *)
   let hidden =
     Mv_imc.Imc.hide perf.Flow.imc ~gates:[ "push" ]
@@ -85,7 +87,7 @@ let test_time_to_first () =
      consumer, i.e. right after the first arrival: mean = 1/a *)
   let arrival = 2.0 and service = 5.0 in
   let spec = Flow.model_of_text (mm1_text ~arrival ~service ~capacity:2) in
-  let perf = Flow.performance ~keep:[ "pop" ] spec in
+  let perf = Flow.Run.performance (keep [ "pop" ]) spec in
   close ~eps:1e-8 "mean time to first pop" (1.0 /. arrival)
     (Flow.time_to_first perf ~gate:"pop");
   Alcotest.(check bool) "absent gate never occurs" true
@@ -97,7 +99,7 @@ let test_time_to_first () =
 
 let test_throughputs_listing () =
   let spec = Flow.model_of_text (mm1_text ~arrival:2.0 ~service:3.0 ~capacity:2) in
-  let perf = Flow.performance ~keep:[ "pop"; "push" ] spec in
+  let perf = Flow.Run.performance (keep [ "pop"; "push" ]) spec in
   let listed = Flow.throughputs perf in
   Alcotest.(check int) "two visible actions" 2 (List.length listed);
   (* flow conservation: push and pop rates agree in steady state *)
@@ -107,7 +109,7 @@ let test_throughputs_listing () =
 let test_performance_vs_simulation () =
   let arrival = 2.0 and service = 3.0 and capacity = 3 in
   let spec = Flow.model_of_text (mm1_text ~arrival ~service ~capacity) in
-  let perf = Flow.performance ~keep:[ "pop" ] spec in
+  let perf = Flow.Run.performance (keep [ "pop" ]) spec in
   let numeric = Flow.throughput perf ~gate:"pop" in
   let simulated =
     Mv_sim.Des.throughput perf.Flow.imc ~action:"pop" ~horizon:20_000.0
@@ -120,7 +122,7 @@ let test_performance_vs_simulation () =
 
 let test_expected_reward () =
   let spec = Flow.model_of_text (mm1_text ~arrival:2.0 ~service:3.0 ~capacity:2) in
-  let perf = Flow.performance spec in
+  let perf = Flow.Run.performance Flow.Config.default spec in
   close ~eps:1e-9 "unit reward" 1.0 (Flow.expected_reward perf (fun _ -> 1.0))
 
 let test_delay_insertion_methodology () =
@@ -156,17 +158,15 @@ init hide begin_work, end_work in (Worker |[begin_work, end_work]| Delay)
       (Mv_imc.Phase.process (Mv_imc.Phase.Exponential 4.0) ~name:"Delay"
          ~start:"begin_work" ~finish:"end_work")
   in
-  let t1 =
-    Flow.throughput (Flow.performance ~keep:[ "done" ] decorated) ~gate:"done"
+  let throughput spec =
+    Flow.throughput (Flow.Run.performance (keep [ "done" ]) spec) ~gate:"done"
   in
+  let t1 = throughput decorated in
   let t2 =
-    Flow.throughput
-      (Flow.performance
-         ~keep:[ "done" ]
-         { inline with
-           Mv_calc.Ast.init =
-             Mv_calc.Ast.Hide ([ "begin_work"; "end_work" ], inline.Mv_calc.Ast.init) })
-      ~gate:"done"
+    throughput
+      { inline with
+        Mv_calc.Ast.init =
+          Mv_calc.Ast.Hide ([ "begin_work"; "end_work" ], inline.Mv_calc.Ast.init) }
   in
   close ~eps:1e-9 "decorated = inline" t2 t1;
   close ~eps:1e-9 "rate value" 4.0 t1;
@@ -177,16 +177,12 @@ init hide begin_work, end_work in (Worker |[begin_work, end_work]| Delay)
       (Mv_imc.Phase.process (Mv_imc.Phase.Erlang (3, 12.0)) ~name:"Delay"
          ~start:"begin_work" ~finish:"end_work")
   in
-  let t3 =
-    Flow.throughput
-      (Flow.performance ~keep:[ "done" ] decorated_erlang)
-      ~gate:"done"
-  in
-  close ~eps:1e-9 "erlang same mean, same throughput" 4.0 t3
+  close ~eps:1e-9 "erlang same mean, same throughput" 4.0
+    (throughput decorated_erlang)
 
 let test_witnesses () =
   let deadlocking = Flow.model_of_text "init a ; b ; stop" in
-  let v = Flow.verify deadlocking [] in
+  let v = Flow.Run.verify Flow.Config.default deadlocking [] in
   (match Flow.deadlock_witness v with
    | Some t ->
      Alcotest.(check (list string)) "deadlock witness" [ "a"; "b" ]
@@ -200,8 +196,9 @@ let test_witnesses () =
   Alcotest.(check bool) "absent action" true
     (Flow.action_witness v ~gate:"zz" = None);
   let live = Flow.model_of_text "process P := a ; P\ninit P" in
+  let v = Flow.Run.verify Flow.Config.default live [] in
   Alcotest.(check bool) "no deadlock, no witness" true
-    (Flow.deadlock_witness (Flow.verify live []) = None)
+    (Flow.deadlock_witness v = None)
 
 let test_generate_compositional () =
   (* a 4-stage buffer chain written as one MVL spec: the compositional
@@ -216,8 +213,8 @@ init hide g1 in ((hide g2 in ((Buf[g0, g1](0) |[g1]| Buf[g1, g2](0)) |[g2]| Buf[
 |}
   in
   let spec = Flow.model_of_text text in
-  let monolithic = Flow.generate spec in
-  let report = Flow.generate_compositional spec in
+  let monolithic = Flow.Run.generate Flow.Config.default spec in
+  let report = Flow.Run.generate_compositional Flow.Config.default spec in
   Alcotest.(check bool) "branching equivalent" true
     (Mv_bisim.Branching.equivalent monolithic report.Mv_compose.Net.result);
   Alcotest.(check bool) "peak not larger" true

@@ -334,7 +334,9 @@ let test_network_matches_monolithic_spec () =
   let node = mm1_network () in
   let comp = Mv_imc.Network.evaluate ~strategy:`Compositional node in
   let perf =
-    Mv_core.Flow.performance_of_imc ~keep:[ "pop" ] comp.Mv_imc.Network.result
+    Mv_core.Flow.Run.performance_of_imc
+      Mv_core.Flow.Config.(default |> with_keep [ "pop" ])
+      comp.Mv_imc.Network.result
   in
   let tput = Mv_core.Flow.throughput perf ~gate:"pop" in
   let expected = Mv_xstream.Analytic.throughput ~arrival:2.0 ~service:3.0 ~k:5 in

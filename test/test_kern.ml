@@ -134,7 +134,7 @@ let sort_dedup_prop =
        let len = Sig_table.sort_dedup a (Array.length a) in
        Array.to_list (Array.sub a 0 len) = List.sort_uniq compare l)
 
-(* ---- flat engines vs legacy engines ---- *)
+(* ---- flat engines vs the legacy engines (Mv_oracle) ---- *)
 
 let lts_gen =
   QCheck2.Gen.(
@@ -153,26 +153,26 @@ let same_partition (p : Partition.t) (q : Partition.t) =
 
 (* The engines must agree block id for block id (not just up to
    renaming): quotients are then byte-identical and Mv_store cache
-   keys stay valid. The pool never changes results, so the flat -j1
-   partition is checked against the legacy engine at -j1 and -j4. *)
+   keys stay valid. The pool never changes results, so the flat
+   partition at -j1 and -j4 is checked against the sequential
+   oracle. *)
 let strong_matches_legacy_prop =
   QCheck2.Test.make ~name:"strong: flat engine = legacy engine (-j1, -j4)"
     ~count:120 lts_gen
     (fun lts ->
-       let flat = Strong.partition lts in
-       same_partition flat (Strong.partition_legacy lts)
+       let oracle = Mv_oracle.Strong.partition lts in
+       same_partition (Strong.partition lts) oracle
        && Mv_par.Pool.scope ~domains:4 (fun pool ->
-           same_partition flat (Strong.partition_legacy ~pool lts)))
+           same_partition (Strong.partition ~pool lts) oracle))
 
 let branching_matches_legacy_prop =
   QCheck2.Test.make ~name:"branching: flat engine = legacy engine (-j1, -j4)"
     ~count:120 lts_gen
     (fun lts ->
-       let flat = Branching.partition lts in
-       same_partition flat (Branching.partition_legacy lts)
+       let oracle = Mv_oracle.Branching.partition lts in
+       same_partition (Branching.partition lts) oracle
        && Mv_par.Pool.scope ~domains:4 (fun pool ->
-           same_partition (Branching.partition ~pool lts)
-             (Branching.partition_legacy ~pool lts)))
+           same_partition (Branching.partition ~pool lts) oracle))
 
 let divbranching_matches_legacy_prop =
   QCheck2.Test.make ~name:"divbranching: flat engine = legacy engine" ~count:120
@@ -180,7 +180,7 @@ let divbranching_matches_legacy_prop =
     (fun lts ->
        same_partition
          (Branching.partition ~divergence_sensitive:true lts)
-         (Branching.partition_legacy ~divergence_sensitive:true lts))
+         (Mv_oracle.Branching.partition ~divergence_sensitive:true lts))
 
 let imc_gen =
   QCheck2.Gen.(
@@ -206,7 +206,55 @@ let imc_gen =
 let lump_matches_legacy_prop =
   QCheck2.Test.make ~name:"lump: flat engine = legacy engine" ~count:120 imc_gen
     (fun imc ->
-       same_partition (Lump.partition imc) (Lump.partition_legacy imc))
+       same_partition (Lump.partition imc) (Mv_oracle.Lump.partition imc))
+
+(* The generators stay below the parallel thresholds (64 states for
+   branching, 1024 for Refine), so the engines also run on bench E10's
+   case studies. Lumping runs on the 12+12 tandem's IMC, as generated
+   and as the performance pipeline closes it (only [pop] visible). *)
+let test_case_studies_match_oracle () =
+  let tandem c =
+    Mv_xstream.Queues.tandem ~arrival:2.0 ~transfer:4.0 ~service:3.0
+      ~capacity1:c ~capacity2:c
+  in
+  let lts spec = Mv_calc.State_space.lts spec in
+  let cases =
+    [
+      ("tandem 12+12", Lts.hide (lts (tandem 12)) ~gates:[ "push" ]);
+      ("tandem 20+20", Lts.hide (lts (tandem 20)) ~gates:[ "push" ]);
+      ("FAME2", lts (Mv_fame.Distributed.spec Mv_fame.Distributed.Correct));
+      ( "FAUST mesh",
+        lts
+          (Mv_faust.Mesh.spec Mv_faust.Mesh.Port_buffered
+             ~flows:Mv_faust.Mesh.crossing_flows) );
+    ]
+  in
+  let check name flat oracle =
+    Alcotest.(check bool) name true (same_partition flat oracle)
+  in
+  Mv_par.Pool.scope ~domains:4 (fun pool ->
+      List.iter
+        (fun (name, lts) ->
+           let strong = Mv_oracle.Strong.partition lts in
+           let branching = Mv_oracle.Branching.partition lts in
+           let div = Mv_oracle.Branching.partition ~divergence_sensitive:true lts in
+           List.iter
+             (fun (j, pool) ->
+                let at what = Printf.sprintf "%s %s -j%d" name what j in
+                check (at "strong") (Strong.partition ?pool lts) strong;
+                check (at "branching") (Branching.partition ?pool lts) branching;
+                check (at "divbranching")
+                  (Branching.partition ?pool ~divergence_sensitive:true lts)
+                  div)
+             [ (1, None); (4, Some pool) ])
+        cases);
+  let imc = Imc.of_lts (lts (tandem 12)) in
+  let closed =
+    Imc.maximal_progress (Imc.hide imc ~gates:[ "push"; "mid"; "push2" ])
+  in
+  check "lump tandem 12+12" (Lump.partition imc) (Mv_oracle.Lump.partition imc);
+  check "lump closed tandem 12+12" (Lump.partition closed)
+    (Mv_oracle.Lump.partition closed)
 
 (* ---- solver kernels ---- *)
 
@@ -400,6 +448,8 @@ let suite =
     QCheck_alcotest.to_alcotest branching_matches_legacy_prop;
     QCheck_alcotest.to_alcotest divbranching_matches_legacy_prop;
     QCheck_alcotest.to_alcotest lump_matches_legacy_prop;
+    Alcotest.test_case "flat engines = legacy engines on the case studies" `Quick
+      test_case_studies_match_oracle;
     QCheck_alcotest.to_alcotest solver_methods_agree_prop;
     Alcotest.test_case "solver method names" `Quick test_solver_method_names;
     Alcotest.test_case "Solver.run config API" `Quick test_solver_run_config;

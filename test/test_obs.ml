@@ -191,7 +191,9 @@ init (Producer |[push]| Queue(0)) |[pop]| Consumer
 let test_flow_instrumented () =
   fresh ();
   let spec = Flow.model_of_text queue_text in
-  let perf = Flow.performance ~keep:[ "pop" ] spec in
+  let perf =
+    Flow.Run.performance Flow.Config.(default |> with_keep [ "pop" ]) spec
+  in
   let throughput = Flow.throughput perf ~gate:"pop" in
   Alcotest.(check bool) "throughput positive" true (throughput > 0.0);
   let stats = Flow.solver_stats perf in
@@ -225,7 +227,10 @@ let test_flow_instrumented () =
 let test_parallel_matches_sequential () =
   fresh ();
   let spec = Flow.model_of_text queue_text in
-  let imc = (Flow.performance ~keep:[ "pop" ] spec).Flow.imc in
+  let perf =
+    Flow.Run.performance Flow.Config.(default |> with_keep [ "pop" ]) spec
+  in
+  let imc = perf.Flow.imc in
   let stats pool =
     Mv_sim.Des.throughput_stats ?pool imc ~action:"pop" ~horizon:200.0
       ~replications:16 ~seed:7L

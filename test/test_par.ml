@@ -432,7 +432,11 @@ let test_transient_bitwise () =
     [ 2; 4 ]
 
 let test_des_replications_bitwise () =
-  let perf = Mv_core.Flow.performance ~keep:[ "pop" ] (tandem_spec ()) in
+  let perf =
+    Mv_core.Flow.Run.performance
+      Mv_core.Flow.Config.(default |> with_keep [ "pop" ])
+      (tandem_spec ())
+  in
   let imc = perf.Mv_core.Flow.imc in
   let reference =
     Mv_sim.Des.throughput_stats imc ~action:"pop" ~horizon:200.0

@@ -6,6 +6,9 @@ module Queues = Mv_xstream.Queues
 module Measures = Mv_xstream.Measures
 module State_space = Mv_calc.State_space
 module Lts = Mv_lts.Lts
+module Flow = Mv_core.Flow
+
+let keep gates = Flow.Config.(default |> with_keep gates)
 
 let close ?(eps = 1e-8) msg expected actual =
   Alcotest.(check bool)
@@ -82,8 +85,8 @@ let test_tandem_generates () =
     Queues.tandem ~arrival:1.0 ~transfer:2.0 ~service:3.0 ~capacity1:2
       ~capacity2:2
   in
-  let perf = Mv_core.Flow.performance ~keep:[ "pop" ] spec in
-  let tput = Mv_core.Flow.throughput perf ~gate:"pop" in
+  let perf = Flow.Run.performance (keep [ "pop" ]) spec in
+  let tput = Flow.throughput perf ~gate:"pop" in
   (* stable tandem: throughput equals the arrival rate minus losses;
      it must be positive and below the arrival rate *)
   Alcotest.(check bool) "positive" true (tput > 0.0);
@@ -130,8 +133,8 @@ let test_multi_producer_conservation () =
   let spec =
     Queues.multi_producer ~arrival0:1.0 ~arrival1:2.0 ~service:4.0 ~capacity:3
   in
-  let perf = Mv_core.Flow.performance ~keep:[ "push0"; "push1"; "pop" ] spec in
-  let t g = Mv_core.Flow.throughput perf ~gate:g in
+  let perf = Flow.Run.performance (keep [ "push0"; "push1"; "pop" ]) spec in
+  let t g = Flow.throughput perf ~gate:g in
   close ~eps:1e-8 "flow conservation" (t "pop") (t "push0" +. t "push1");
   Alcotest.(check bool) "both producers progress" true
     (t "push0" > 0.0 && t "push1" > 0.0);
@@ -166,23 +169,23 @@ let test_spill_refill_throttles () =
 
 let test_dual_server_lumping () =
   let spec = Queues.dual_server ~arrival:3.0 ~service:2.0 in
-  let perf = Mv_core.Flow.performance ~keep:[ "done" ] spec in
+  let perf = Flow.Run.performance (keep [ "done" ]) spec in
   (* the two engines are symmetric: lumping must strictly reduce *)
   Alcotest.(check bool) "lumping reduces" true
-    (Mv_imc.Imc.nb_states perf.Mv_core.Flow.lumped
-     < Mv_imc.Imc.nb_states perf.Mv_core.Flow.imc);
+    (Mv_imc.Imc.nb_states perf.Flow.lumped
+     < Mv_imc.Imc.nb_states perf.Flow.imc);
   (* two parallel engines outperform a single one at the same rates *)
   let single =
-    Mv_core.Flow.performance ~keep:[ "done" ]
-      (Mv_core.Flow.model_of_text
+    Flow.Run.performance (keep [ "done" ])
+      (Flow.model_of_text
          {|
 process Source := rate 3.0 ; grab ; Source
 process Engine := grab ; rate 2.0 ; done ; Engine
 init Source |[grab]| Engine
 |})
   in
-  let t2 = Mv_core.Flow.throughput perf ~gate:"done" in
-  let t1 = Mv_core.Flow.throughput single ~gate:"done" in
+  let t2 = Flow.throughput perf ~gate:"done" in
+  let t1 = Flow.throughput single ~gate:"done" in
   Alcotest.(check bool)
     (Printf.sprintf "2 engines (%.3f) beat 1 (%.3f)" t2 t1)
     true (t2 > t1)
@@ -242,8 +245,8 @@ let pipeline_matches_analytic_prop =
     gen
     (fun (arrival, service, capacity) ->
        let spec = Queues.single ~arrival ~service ~capacity in
-       let perf = Mv_core.Flow.performance ~keep:[ "pop" ] spec in
-       let tput = Mv_core.Flow.throughput perf ~gate:"pop" in
+       let perf = Flow.Run.performance (keep [ "pop" ]) spec in
+       let tput = Flow.throughput perf ~gate:"pop" in
        let k = Queues.system_capacity ~capacity in
        let expected = Analytic.throughput ~arrival ~service ~k in
        abs_float (tput -. expected) /. expected < 1e-6)
