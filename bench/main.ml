@@ -796,9 +796,12 @@ let write_bench_json path =
    worklist, branching = packed signatures over CSR), check
    the quotients are byte-identical (same .aut text, block ids
    included — the property the Mv_store cache keys depend on), and
-   time both (best of 3). Then the solver kernels: Gauss-Seidel vs
-   damped Jacobi iteration counts on the xSTream tandem steady-state.
-   The detail lands in BENCH_multival.json under "e10" for CI. *)
+   time both (best of 3). Lumping is compared the same way on the
+   case's IMC ([Imc.of_lts]): the incremental engine's partition must
+   equal the oracle's, block ids included. Then the solver kernels:
+   Gauss-Seidel vs damped Jacobi iteration counts on the xSTream tandem
+   steady-state. The detail lands in BENCH_multival.json under "e10"
+   for CI. *)
 let e10_kernels () =
   let best_of_3 f =
     let once () =
@@ -838,12 +841,18 @@ let e10_kernels () =
          && Mv_lts.Aut.to_string branching
             = Mv_lts.Aut.to_string branching_legacy
        in
+       let imc = Mv_imc.Imc.of_lts lts in
+       let lump = Mv_imc.Lump.partition imc in
+       let lump_legacy = Mv_oracle.Lump.partition imc in
+       let lump_identical = lump = lump_legacy in
        let ts = best_of_3 (fun () -> Mv_bisim.Strong.minimize lts) in
        let tsl = best_of_3 (fun () -> Mv_oracle.Strong.minimize lts) in
        let tb = best_of_3 (fun () -> Mv_bisim.Branching.minimize lts) in
        let tbl =
          best_of_3 (fun () -> Mv_oracle.Branching.minimize lts)
        in
+       let tl = best_of_3 (fun () -> Mv_imc.Lump.partition imc) in
+       let tll = best_of_3 (fun () -> Mv_oracle.Lump.partition imc) in
        let speedup t_legacy t_kern =
          if t_kern > 0.0 then t_legacy /. t_kern else 0.0
        in
@@ -854,7 +863,9 @@ let e10_kernels () =
            Printf.sprintf "%.1fx" (speedup tsl ts);
            f tbl; f tb;
            Printf.sprintf "%.1fx" (speedup tbl tb);
-           (if identical then "identical" else "DIFFERS") ]
+           f tll; f tl;
+           Printf.sprintf "%.1fx" (speedup tll tl);
+           (if identical && lump_identical then "identical" else "DIFFERS") ]
          :: !rows;
        case_json :=
          Json.Obj
@@ -871,16 +882,25 @@ let e10_kernels () =
              ("branching_legacy_s", Json.Float tbl);
              ("branching_kern_s", Json.Float tb);
              ("branching_speedup", Json.Float (speedup tbl tb));
-             ("quotients_identical", Json.Bool identical) ]
+             ("quotients_identical", Json.Bool identical);
+             ("lump_states", Json.Int lump.Mv_bisim.Partition.count);
+             ("lump_states_legacy",
+              Json.Int lump_legacy.Mv_bisim.Partition.count);
+             ("lump_legacy_s", Json.Float tll);
+             ("lump_kern_s", Json.Float tl);
+             ("lump_speedup", Json.Float (speedup tll tl));
+             ("lump_identical", Json.Bool lump_identical) ]
          :: !case_json)
     cases;
   Report.table
     ~title:
       "E10a  Minimization engines: legacy signature rounds vs Mv_kern \
-       flat-array kernels (best of 3; quotients must be byte-identical)"
+       flat-array kernels (best of 3; quotients and lumping partitions \
+       must be identical)"
     ~header:
       [ "model"; "states"; "strong old"; "strong new"; "speedup";
-        "branch old"; "branch new"; "speedup"; "quotient" ]
+        "branch old"; "branch new"; "speedup"; "lump old"; "lump new";
+        "speedup"; "quotient" ]
     (List.rev !rows);
   (* solver kernels on the xSTream tandem steady-state *)
   let perf =

@@ -53,8 +53,8 @@ module Config : sig
             lumping step of {!Run.performance} *)
     solve_method : Mv_kern.Solver.method_ option;
         (** steady-state iteration for {!Run.performance} solves
-            ([mval solve --method]); [None] picks Gauss-Seidel, or
-            Jacobi under a pool. Like the pool, absent from cache
+            ([mval solve --method]); [None] picks Gauss-Seidel, with
+            or without a pool. Like the pool, absent from cache
             keys: every method converges to the same vector within
             the solver tolerance, and solve results are never
             cached. *)

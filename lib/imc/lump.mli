@@ -10,11 +10,25 @@
     after rounding to 12 significant digits, so rate sums that differ
     only by floating-point association are lumped together.
 
-    Signatures are packed into flat int arrays over
-    {!Mv_kern.Sig_table}, with rounded rate strings interned. Blocks
-    are numbered by first occurrence in state order, so the partitions
-    are identical, block ids included, to those of the list/Hashtbl
-    oracle kept under [test/oracle/]. *)
+    Refinement runs the rounds of the list/Hashtbl oracle kept under
+    [test/oracle/], which recomputes every state's signature each
+    round, but it computes only the signatures that can change: a
+    state's signature changes only when one of its successors,
+    interactive or Markovian, changed block in the previous round.
+    Block ids stay stable across rounds; in each round the dirty
+    states of a block are grouped by signature, the group that
+    matches the block's untouched states (or, if there are none, the
+    largest group) keeps the id, and every other group takes a fresh
+    one and dirties its predecessors. Signatures are packed into flat
+    int arrays over {!Mv_kern.Sig_table}, with rounded rate strings
+    interned. Each round therefore yields the oracle's partition, and
+    the final blocks are numbered by first occurrence in state order,
+    so the partitions are identical to the oracle's, block ids
+    included.
+
+    Observability: [lump.rounds] counter, [lump.blocks] series (the
+    block count after each round), [lump.signatures] counter (the
+    signatures computed). *)
 
 (** Coarsest stochastic-bisimulation partition. *)
 val partition : Imc.t -> Mv_bisim.Partition.t

@@ -114,6 +114,16 @@ let coloring sys =
   done;
   (order, class_start, nb_colors)
 
+(* The largest entry of [residual] (0.0 when empty). The sweep bodies
+   sum a state's inflow into a local accumulator and this max is kept
+   in one too, so that a sweep boxes no float per state. *)
+let max_residual residual =
+  let m = ref 0.0 in
+  for j = 0 to Array.length residual - 1 do
+    if residual.(j) > !m then m := residual.(j)
+  done;
+  !m
+
 let run cfg sys pi =
   let k = sys.size in
   let sweeps = ref 0 in
@@ -126,13 +136,6 @@ let run cfg sys pi =
     if !sweeps land 255 = 0 then
       Obs.progress (fun () ->
           Printf.sprintf "solve: sweep %d, residual %.3g" !sweeps !delta)
-  in
-  let inflow j =
-    let flow = ref 0.0 in
-    for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
-      flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
-    done;
-    !flow
   in
   let pool =
     match cfg.pool with
@@ -190,7 +193,11 @@ let run cfg sys pi =
      let body idx =
        let j = order.(idx) in
        if sys.exit.(j) > 0.0 then begin
-         let updated = inflow j /. sys.exit.(j) in
+         let flow = ref 0.0 in
+         for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+           flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
+         done;
+         let updated = !flow /. sys.exit.(j) in
          residual.(j) <- abs_float (updated -. pi.(j));
          pi.(j) <-
            (if !omega = 1.0 then updated
@@ -210,10 +217,7 @@ let run cfg sys pi =
              body idx
            done
        done;
-       delta := 0.0;
-       for j = 0 to k - 1 do
-         if residual.(j) > !delta then delta := residual.(j)
-       done;
+       delta := max_residual residual;
        normalize ();
        incr sweeps;
        record_sweep ();
@@ -235,7 +239,11 @@ let run cfg sys pi =
      let damping = 0.7 in
      let body j =
        if sys.exit.(j) > 0.0 then begin
-         let updated = inflow j /. sys.exit.(j) in
+         let flow = ref 0.0 in
+         for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+           flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
+         done;
+         let updated = !flow /. sys.exit.(j) in
          residual.(j) <- abs_float (updated -. pi.(j));
          next.(j) <- ((1.0 -. damping) *. pi.(j)) +. (damping *. updated)
        end
@@ -251,8 +259,7 @@ let run cfg sys pi =
           for j = 0 to k - 1 do
             body j
           done);
-       delta := 0.0;
-       Array.iter (fun r -> if r > !delta then delta := r) residual;
+       delta := max_residual residual;
        let total = ref 0.0 in
        for j = 0 to k - 1 do
          total := !total +. next.(j)

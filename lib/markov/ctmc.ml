@@ -96,10 +96,9 @@ let bsccs t =
    order from its first state (following outgoing transitions inside
    the subset), which keeps the incoming-CSR accesses of neighbouring
    states close together; the actual sweeps are the Mv_kern.Solver
-   kernels. Method selection: Gauss-Seidel by default; damped Jacobi
-   when a pool of size > 1 is given (the only method whose sweeps
-   parallelize — and any pool size gives bit-identical vectors); an
-   explicit [method_] overrides both. *)
+   kernels. Method selection: Gauss-Seidel unless [method_] says
+   otherwise, with or without a pool (any pool size gives
+   bit-identical vectors). *)
 let steady_state_on_subset t ?pool ?method_ ?(tolerance = 1e-13)
     ?(max_iterations = 200_000) subset =
   match subset with

@@ -56,11 +56,10 @@ val bsccs : t -> int list list
     Each BSCC is renumbered in BFS order into a contiguous CSR system
     and solved by the {!Mv_kern.Solver} kernels. [method_] selects the
     iteration: Gauss-Seidel (the default — fewest iterations),
-    [Sor omega], or damped Jacobi. Without an explicit [method_], a
-    [pool] of size [> 1] selects Jacobi for every large-enough BSCC —
-    the only method whose sweeps parallelize; the result is then
-    deterministic for any pool size (bit-identical vectors) and agrees
-    with the sequential methods to within the iteration tolerance. *)
+    [Sor omega], or damped Jacobi. The default does not depend on the
+    [pool]: a pool of size [> 1] runs the colored Gauss-Seidel sweeps
+    in parallel, and every method gives bit-identical vectors at any
+    pool size. *)
 
 val steady_state :
   ?pool:Mv_par.Pool.t ->

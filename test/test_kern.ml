@@ -208,10 +208,96 @@ let lump_matches_legacy_prop =
     (fun imc ->
        same_partition (Lump.partition imc) (Mv_oracle.Lump.partition imc))
 
+(* IMCs on a chain or ladder backbone of up to 300 states. The moves
+   repeat with a short period along the backbone, which may loop back
+   by whole periods, and are the same on both rails of a ladder, so
+   most cases merge states; refinement runs for many rounds, and the
+   incremental lumping engine meets blocks that hold both states it
+   recomputes and states it skips. A Markovian move is 1-3 parallel
+   transitions with rates from a small set, summed in reverse order on
+   the second rail, so whether two states merge hinges on rounding
+   away float association: (0.1 + 0.2) + 0.7 is 1.0 but (0.7 + 0.2) +
+   0.1 is not, and 0.1 + 0.2 is not 0.3. Skips between backbone
+   positions are added on every rail; a little noise on one rail then
+   breaks the symmetry. *)
+let lump_rates = [ 0.1; 0.2; 0.3; 1.0 /. 3.0; 0.7; 1.5; 2.0 ]
+
+let backbone_imc_gen =
+  QCheck2.Gen.(
+    let move =
+      frequency
+        [
+          (4, map Either.left (list_size (int_range 1 3) (oneofl lump_rates)));
+          (1, map Either.right (oneofl [ "a"; "b"; "i" ]));
+        ]
+    in
+    let* rails = int_range 1 2 in
+    let* length = int_range (3 - rails) (300 / rails) in
+    let* period = int_range 1 4 in
+    (* the last position loops back a whole number of periods, if at all *)
+    let* loop = option ~ratio:0.67 (int_range 1 (max 1 (length / period))) in
+    let* along = list_repeat period move in
+    let* across = list_repeat period (option move) in
+    let nb_states = rails * length in
+    (* skips along the backbone, on every rail; then noise *)
+    let* skips =
+      list_size (int_bound 3) (triple (int_bound (length - 1)) move (int_bound (length - 1)))
+    in
+    let* noise =
+      list_size (int_bound 1)
+        (triple (int_bound (nb_states - 1)) move (int_bound (nb_states - 1)))
+    in
+    let labels = Label.create () in
+    let interactive = ref [] and markovian = ref [] in
+    let add ~rail s m d =
+      match m with
+      | Either.Left rates ->
+        List.iter
+          (fun r -> markovian := (s, r, d) :: !markovian)
+          (if rail = 0 then rates else List.rev rates)
+      | Either.Right l ->
+        interactive := (s, Label.intern labels l, d) :: !interactive
+    in
+    let state pos rail = (pos * rails) + rail in
+    let next pos =
+      if pos + 1 < length then Some (pos + 1)
+      else Option.map (fun k -> max 0 (length - (k * period))) loop
+    in
+    for pos = 0 to length - 1 do
+      let phase = pos mod period in
+      Option.iter
+        (fun next ->
+           for rail = 0 to rails - 1 do
+             add ~rail (state pos rail) (List.nth along phase) (state next rail);
+             match List.nth across phase with
+             | Some m when rails = 2 ->
+               add ~rail (state pos rail) m (state next (1 - rail))
+             | _ -> ()
+           done)
+        (next pos)
+    done;
+    List.iter
+      (fun (pos, m, pos') ->
+         for rail = 0 to rails - 1 do
+           add ~rail (state pos rail) m (state pos' rail)
+         done)
+      skips;
+    List.iter (fun (s, m, d) -> add ~rail:0 s m d) noise;
+    return
+      (Imc.make ~nb_states ~initial:0 ~labels ~interactive:(List.rev !interactive)
+         ~markovian:(List.rev !markovian)))
+
+let lump_backbone_matches_legacy_prop =
+  QCheck2.Test.make ~name:"lump: flat engine = legacy engine (chains, ladders)"
+    ~count:100 backbone_imc_gen
+    (fun imc ->
+       same_partition (Lump.partition imc) (Mv_oracle.Lump.partition imc))
+
 (* The generators stay below the parallel thresholds (64 states for
    branching, 1024 for Refine), so the engines also run on bench E10's
    case studies. Lumping runs on the 12+12 tandem's IMC, as generated
-   and as the performance pipeline closes it (only [pop] visible). *)
+   and as the performance pipeline closes it (only [pop] visible), and
+   on the benchmark's model: the closed 40+40 tandem near saturation. *)
 let test_case_studies_match_oracle () =
   let tandem c =
     Mv_xstream.Queues.tandem ~arrival:2.0 ~transfer:4.0 ~service:3.0
@@ -254,6 +340,16 @@ let test_case_studies_match_oracle () =
   in
   check "lump tandem 12+12" (Lump.partition imc) (Mv_oracle.Lump.partition imc);
   check "lump closed tandem 12+12" (Lump.partition closed)
+    (Mv_oracle.Lump.partition closed);
+  let saturated =
+    Mv_xstream.Queues.tandem ~arrival:2.9 ~transfer:4.0 ~service:3.0
+      ~capacity1:40 ~capacity2:40
+  in
+  let closed =
+    Imc.maximal_progress
+      (Imc.hide (Imc.of_lts (lts saturated)) ~gates:[ "push"; "mid"; "push2" ])
+  in
+  check "lump closed tandem 40+40" (Lump.partition closed)
     (Mv_oracle.Lump.partition closed)
 
 (* ---- solver kernels ---- *)
@@ -355,6 +451,50 @@ let test_coloring_valid () =
     done
   done
 
+(* With telemetry off, a sweep allocates a constant number of words,
+   whatever the number of states: the per-state sums stay unboxed. The
+   per-sweep figure is the difference between a long and a short run,
+   so the one-time set-up (coloring, scratch arrays) cancels out. *)
+let test_sweeps_allocation_free () =
+  Mv_obs.Obs.reset ();
+  (* birth-death chain: j is fed by j-1 at rate 1 and by j+1 at rate 2 *)
+  let n = 2000 in
+  let feeders j =
+    (if j > 0 then [ (j - 1, 1.0) ] else []) @ if j < n - 1 then [ (j + 1, 2.0) ] else []
+  in
+  let incoming = Array.init n feeders in
+  let in_row = Array.make (n + 1) 0 in
+  Array.iteri (fun j ins -> in_row.(j + 1) <- in_row.(j) + List.length ins) incoming;
+  let flat = List.concat (Array.to_list incoming) in
+  let sys =
+    {
+      Solver.size = n;
+      in_row;
+      in_src = Array.of_list (List.map fst flat);
+      in_rate = Array.of_list (List.map snd flat);
+      exit =
+        Array.init n (fun j ->
+            (if j > 0 then 2.0 else 0.0) +. if j < n - 1 then 1.0 else 0.0);
+    }
+  in
+  List.iter
+    (fun method_ ->
+       let run sweeps =
+         let pi = Array.make n (1.0 /. float_of_int n) in
+         let cfg = Solver.config ~method_ ~tolerance:0.0 ~max_sweeps:sweeps () in
+         let before = Gc.minor_words () in
+         let outcome = Solver.run cfg sys pi in
+         (Gc.minor_words () -. before, outcome.Solver.sweeps)
+       in
+       let w1, s1 = run 50 in
+       let w2, s2 = run 250 in
+       let per_sweep = (w2 -. w1) /. float_of_int (s2 - s1) in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %.1f minor words per sweep over %d states"
+            (Solver.method_name method_) per_sweep n)
+         true (per_sweep < 32.0))
+    [ Solver.Gauss_seidel; Solver.Sor; Solver.Jacobi ]
+
 (* ---- the parallel engines vs -j1, above their thresholds ---- *)
 
 (* big enough (> 1024 states) that Refine.strong takes the round-based
@@ -448,6 +588,7 @@ let suite =
     QCheck_alcotest.to_alcotest branching_matches_legacy_prop;
     QCheck_alcotest.to_alcotest divbranching_matches_legacy_prop;
     QCheck_alcotest.to_alcotest lump_matches_legacy_prop;
+    QCheck_alcotest.to_alcotest lump_backbone_matches_legacy_prop;
     Alcotest.test_case "flat engines = legacy engines on the case studies" `Quick
       test_case_studies_match_oracle;
     QCheck_alcotest.to_alcotest solver_methods_agree_prop;
@@ -455,6 +596,8 @@ let suite =
     Alcotest.test_case "Solver.run config API" `Quick test_solver_run_config;
     Alcotest.test_case "coloring is a valid conflict coloring" `Quick
       test_coloring_valid;
+    Alcotest.test_case "solver sweeps allocate nothing per state" `Quick
+      test_sweeps_allocation_free;
     Alcotest.test_case "parallel refine byte-identical (3000 states)" `Quick
       test_refine_parallel_identical;
     Alcotest.test_case "parallel gs bitwise (2000 states)" `Quick
