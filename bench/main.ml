@@ -798,10 +798,11 @@ let write_bench_json path =
    included — the property the Mv_store cache keys depend on), and
    time both (best of 3). Lumping is compared the same way on the
    case's IMC ([Imc.of_lts]): the incremental engine's partition must
-   equal the oracle's, block ids included. Then the solver kernels:
-   Gauss-Seidel vs damped Jacobi iteration counts on the xSTream tandem
-   steady-state. The detail lands in BENCH_multival.json under "e10"
-   for CI. *)
+   equal the oracle's, block ids included. Then the solvers on the
+   xSTream tandem steady state: the default direct (GTH) solve, the
+   Gauss-Seidel and SOR sweeps, and their distance to the dense LU
+   oracle. The detail lands in BENCH_multival.json under "e10" for
+   CI. *)
 let e10_kernels () =
   let best_of_3 f =
     let once () =
@@ -909,25 +910,60 @@ let e10_kernels () =
          ~service:e2_service ~capacity1:12 ~capacity2:12)
   in
   let ctmc = perf.Flow.conversion.To_ctmc.ctmc in
-  let solve m = snd (Ctmc.steady_state_stats ~method_:m ctmc) in
-  let stats_gs = solve Mv_kern.Solver.Gauss_seidel in
-  let stats_sor = solve Mv_kern.Solver.Sor in
-  let stats_jac = solve Mv_kern.Solver.Jacobi in
-  let row name (s : Mv_markov.Solver_stats.t) =
+  let count name = Obs.counter_value (Obs.counter name) in
+  let direct0 = count "solver.direct"
+  and fallbacks0 = count "solver.direct_fallbacks" in
+  let pi_direct, stats_direct = Ctmc.steady_state_stats ctmc in
+  let direct_chosen =
+    count "solver.direct" - direct0 = 1
+    && count "solver.direct_fallbacks" = fallbacks0
+    && stats_direct.Mv_markov.Solver_stats.iterations = 0
+  in
+  let band =
+    Printf.sprintf "%.0f/%.0f"
+      (Obs.gauge_value (Obs.gauge "solver.bandwidth_lower"))
+      (Obs.gauge_value (Obs.gauge "solver.bandwidth_upper"))
+  in
+  let solve m = Ctmc.steady_state_stats ~method_:m ctmc in
+  let pi_gs, stats_gs = solve Mv_kern.Solver.Gauss_seidel in
+  let pi_sor, stats_sor = solve Mv_kern.Solver.Sor in
+  let pi_lu = Mv_oracle.Linalg.steady_state_exact ctmc in
+  let max_abs_diff a b =
+    let d = ref 0.0 in
+    Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.(i)))) a;
+    !d
+  in
+  let direct_vs_lu = max_abs_diff pi_direct pi_lu in
+  let gs_vs_direct = max_abs_diff pi_gs pi_direct in
+  let time_direct = best_of_3 (fun () -> Ctmc.steady_state_stats ctmc) in
+  let time_gs = best_of_3 (fun () -> solve Mv_kern.Solver.Gauss_seidel) in
+  let time_sor = best_of_3 (fun () -> solve Mv_kern.Solver.Sor) in
+  let time_lu =
+    best_of_3 (fun () -> Mv_oracle.Linalg.steady_state_exact ctmc)
+  in
+  let row name (s : Mv_markov.Solver_stats.t) pi time =
     [ name;
       string_of_int s.Mv_markov.Solver_stats.iterations;
       f s.Mv_markov.Solver_stats.residual;
-      string_of_bool s.Mv_markov.Solver_stats.converged ]
+      string_of_bool s.Mv_markov.Solver_stats.converged;
+      Printf.sprintf "%.1e" (max_abs_diff pi pi_lu);
+      f time ]
   in
   Report.table
     ~title:
       (Printf.sprintf
-         "E10b  Steady-state solvers on the xSTream tandem CTMC (%d states)"
-         (Ctmc.nb_states ctmc))
-    ~header:[ "method"; "iterations"; "residual"; "converged" ]
-    [ row "gauss-seidel" stats_gs;
-      row "sor" stats_sor;
-      row "jacobi (damped)" stats_jac ];
+         "E10b  Steady-state solvers on the xSTream tandem CTMC (%d states, \
+          band %s in BFS order; best of 3)"
+         (Ctmc.nb_states ctmc) band)
+    ~header:
+      [ "method"; "iterations"; "residual"; "converged"; "max |pi - LU|";
+        "time" ]
+    [ row
+        (if direct_chosen then "direct GTH (default)" else "default (swept)")
+        stats_direct pi_direct time_direct;
+      row "gauss-seidel" stats_gs pi_gs time_gs;
+      row "sor" stats_sor pi_sor time_sor;
+      [ "dense LU (oracle)"; "-"; "-"; "-"; "0"; f time_lu ] ];
   (* E10c: the parallel kernels themselves — strong refinement (round
      batched splitter gather) and colored Gauss-Seidel at -j 8 against
      the sequential -j 1 path. Outputs must be byte-identical; the
@@ -982,8 +1018,11 @@ let e10_kernels () =
           ("gs_iterations", Json.Int stats_gs.Mv_markov.Solver_stats.iterations);
           ("sor_iterations",
            Json.Int stats_sor.Mv_markov.Solver_stats.iterations);
-          ("jacobi_iterations",
-           Json.Int stats_jac.Mv_markov.Solver_stats.iterations);
+          ("direct_chosen", Json.Bool direct_chosen);
+          ("direct_vs_lu", Json.Float direct_vs_lu);
+          ("gs_vs_direct", Json.Float gs_vs_direct);
+          ("direct_s", Json.Float time_direct);
+          ("gs_s", Json.Float time_gs);
           ("refine_j1_s", Json.Float refine_j1_s);
           ("refine_j8_s", Json.Float refine_j8_s);
           ("refine_speedup_j8", Json.Float (ratio refine_j1_s refine_j8_s));

@@ -781,11 +781,12 @@ let solve_cmd =
       & opt (some string) None
       & info [ "method" ] ~docv:"M"
           ~doc:
-            "Steady-state iteration: $(b,gs) (colored Gauss-Seidel, the \
-             default — fewest sweeps, parallel under $(b,-j) with \
-             bit-identical results), $(b,sor) (over-relaxed Gauss-Seidel), \
-             or $(b,jacobi) (damped; kept as a cross-check). All methods \
-             agree within the solver tolerance.")
+            "Force a steady-state iteration: $(b,gs) (colored \
+             Gauss-Seidel, parallel under $(b,-j) with bit-identical \
+             results) or $(b,sor) (over-relaxed Gauss-Seidel). By \
+             default each BSCC narrow enough in BFS order is solved by \
+             a direct banded elimination, and the others by $(b,gs). \
+             All methods agree within the solver tolerance.")
   in
   let run () model max_states keep first scheduler method_ jobs no_lint cache
       remote budget =
@@ -805,7 +806,7 @@ let solve_cmd =
                      line = None;
                      message =
                        Printf.sprintf
-                         "unknown solve method %S (expected jacobi, gs, \
+                         "unknown solve method %S (expected gs, \
                           gauss-seidel or sor)"
                          name;
                    });

@@ -1,19 +1,15 @@
 module Obs = Mv_obs.Obs
 
-type method_ = Jacobi | Gauss_seidel | Sor
+type method_ = Gauss_seidel | Sor
 
 let default_sor_omega = 1.25
 
 let method_of_name = function
-  | "jacobi" -> Some Jacobi
   | "gs" | "gauss-seidel" -> Some Gauss_seidel
   | "sor" -> Some Sor
   | _ -> None
 
-let method_name = function
-  | Jacobi -> "jacobi"
-  | Gauss_seidel -> "gs"
-  | Sor -> "sor"
+let method_name = function Gauss_seidel -> "gs" | Sor -> "sor"
 
 type system = {
   size : int;
@@ -24,15 +20,15 @@ type system = {
 }
 
 type config = {
-  method_ : method_;
+  method_ : method_ option;
   omega : float;
   tolerance : float;
   max_sweeps : int;
   pool : Mv_par.Pool.t option;
 }
 
-let config ?(method_ = Gauss_seidel) ?(omega = default_sor_omega)
-    ?(tolerance = 1e-13) ?(max_sweeps = 200_000) ?pool () =
+let config ?method_ ?(omega = default_sor_omega) ?(tolerance = 1e-13)
+    ?(max_sweeps = 200_000) ?pool () =
   { method_; omega; tolerance; max_sweeps; pool }
 
 type outcome = { sweeps : int; residual : float; converged : bool }
@@ -124,7 +120,10 @@ let max_residual residual =
   done;
   !m
 
-let run cfg sys pi =
+(* The colored Gauss-Seidel ([Gauss_seidel]) or over-relaxed ([Sor])
+   sweeps, in place on [pi] until the residual reaches the tolerance or
+   the sweep budget runs out. *)
+let sweep cfg method_ sys pi =
   let k = sys.size in
   let sweeps = ref 0 in
   let delta = ref infinity in
@@ -156,122 +155,81 @@ let run cfg sys pi =
       done
     else Array.fill pi 0 k (1.0 /. float_of_int k)
   in
-  (match cfg.method_ with
-   | Gauss_seidel | Sor ->
-     let order, class_start, nb_colors = coloring sys in
-     Obs.set (Obs.gauge "solver.colors") (float_of_int nb_colors);
-     let residual = Array.make (max k 1) 0.0 in
-     let omega = ref (match cfg.method_ with Sor -> cfg.omega | _ -> 1.0) in
-     (* Neither sweep is unconditionally convergent: over-relaxation
-        (omega > 1) can oscillate on nonsymmetric balance systems, and
-        the {e colored} order itself is periodic on bipartite conflict
-        graphs (a pure cycle: each class only feeds the other, so the
-        sweep operator keeps unit-modulus eigenvalues that natural-order
-        propagation would have damped). Watch the best residual
-        reached; when it stops improving, pull omega > 1 back toward
-        1.0, and drop omega = 1.0 to an under-relaxed 0.7 — damping
-        moves every unit-circle eigenvalue except the stationary one
-        strictly inside, restoring convergence. The fallback is driven
-        only by the residual sequence, which is bitwise identical at
-        every pool size, so determinism is preserved. *)
-     let best = ref infinity in
-     let stall = ref 0 in
-     let diverging () =
-       if not (Float.is_finite !delta) then true
-       else if !delta < 0.999 *. !best then begin
-         (* a meaningful improvement, not just oscillation noise *)
-         best := !delta;
-         stall := 0;
-         false
-       end
-       else begin
-         if !delta < !best then best := !delta;
-         incr stall;
-         !stall >= 200
-       end
-     in
-     let body idx =
-       let j = order.(idx) in
-       if sys.exit.(j) > 0.0 then begin
-         let flow = ref 0.0 in
-         for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
-           flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
-         done;
-         let updated = !flow /. sys.exit.(j) in
-         residual.(j) <- abs_float (updated -. pi.(j));
-         pi.(j) <-
-           (if !omega = 1.0 then updated
-            else ((1.0 -. !omega) *. pi.(j)) +. (!omega *. updated))
-       end
-       else residual.(j) <- 0.0
-     in
-     let continue_ = ref true in
-     while !continue_ && !sweeps < cfg.max_sweeps do
-       for c = 0 to nb_colors - 1 do
-         let lo = class_start.(c) and hi = class_start.(c + 1) in
-         match pool with
-         | Some pool when hi - lo > parallel_class_threshold ->
-           Mv_par.Pool.for_ ~pool ~lo ~hi body
-         | _ ->
-           for idx = lo to hi - 1 do
-             body idx
-           done
-       done;
-       delta := max_residual residual;
-       normalize ();
-       incr sweeps;
-       record_sweep ();
-       if !omega >= 1.0 && diverging () then begin
-         if !omega > 1.0 then begin
-           omega := 1.0 +. ((!omega -. 1.0) /. 2.0);
-           if Float.abs (!omega -. 1.0) < 0.01 then omega := 1.0
-         end
-         else omega := 0.7;
-         best := infinity;
-         stall := 0;
-         delta := infinity
-       end;
-       continue_ := Float.is_nan !delta || !delta > cfg.tolerance
-     done
-   | Jacobi ->
-     let next = Array.make (max k 1) 0.0 in
-     let residual = Array.make (max k 1) 0.0 in
-     let damping = 0.7 in
-     let body j =
-       if sys.exit.(j) > 0.0 then begin
-         let flow = ref 0.0 in
-         for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
-           flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
-         done;
-         let updated = !flow /. sys.exit.(j) in
-         residual.(j) <- abs_float (updated -. pi.(j));
-         next.(j) <- ((1.0 -. damping) *. pi.(j)) +. (damping *. updated)
-       end
-       else begin
-         residual.(j) <- 0.0;
-         next.(j) <- pi.(j)
-       end
-     in
-     while !delta > cfg.tolerance && !sweeps < cfg.max_sweeps do
-       (match pool with
-        | Some pool when k > 64 -> Mv_par.Pool.for_ ~pool ~lo:0 ~hi:k body
-        | _ ->
-          for j = 0 to k - 1 do
-            body j
-          done);
-       delta := max_residual residual;
-       let total = ref 0.0 in
-       for j = 0 to k - 1 do
-         total := !total +. next.(j)
-       done;
-       if !total > 0.0 then
-         for j = 0 to k - 1 do
-           pi.(j) <- next.(j) /. !total
-         done
-       else Array.blit next 0 pi 0 k;
-       incr sweeps;
-       record_sweep ()
-     done);
+  let order, class_start, nb_colors = coloring sys in
+  Obs.set (Obs.gauge "solver.colors") (float_of_int nb_colors);
+  let residual = Array.make (max k 1) 0.0 in
+  let omega = ref (match method_ with Sor -> cfg.omega | Gauss_seidel -> 1.0) in
+  (* Neither sweep is unconditionally convergent: over-relaxation
+     (omega > 1) can oscillate on nonsymmetric balance systems, and
+     the {e colored} order itself is periodic on bipartite conflict
+     graphs (a pure cycle: each class only feeds the other, so the
+     sweep operator keeps unit-modulus eigenvalues that natural-order
+     propagation would have damped). Watch the best residual
+     reached; when it stops improving, pull omega > 1 back toward
+     1.0, and drop omega = 1.0 to an under-relaxed 0.7 — damping
+     moves every unit-circle eigenvalue except the stationary one
+     strictly inside, restoring convergence. The fallback is driven
+     only by the residual sequence, which is bitwise identical at
+     every pool size, so determinism is preserved. *)
+  let best = ref infinity in
+  let stall = ref 0 in
+  let diverging () =
+    if not (Float.is_finite !delta) then true
+    else if !delta < 0.999 *. !best then begin
+      (* a meaningful improvement, not just oscillation noise *)
+      best := !delta;
+      stall := 0;
+      false
+    end
+    else begin
+      if !delta < !best then best := !delta;
+      incr stall;
+      !stall >= 200
+    end
+  in
+  let body idx =
+    let j = order.(idx) in
+    if sys.exit.(j) > 0.0 then begin
+      let flow = ref 0.0 in
+      for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+        flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
+      done;
+      let updated = !flow /. sys.exit.(j) in
+      residual.(j) <- abs_float (updated -. pi.(j));
+      pi.(j) <-
+        (if !omega = 1.0 then updated
+         else ((1.0 -. !omega) *. pi.(j)) +. (!omega *. updated))
+    end
+    else residual.(j) <- 0.0
+  in
+  let continue_ = ref true in
+  while !continue_ && !sweeps < cfg.max_sweeps do
+    for c = 0 to nb_colors - 1 do
+      let lo = class_start.(c) and hi = class_start.(c + 1) in
+      match pool with
+      | Some pool when hi - lo > parallel_class_threshold ->
+        Mv_par.Pool.for_ ~pool ~lo ~hi body
+      | _ ->
+        for idx = lo to hi - 1 do
+          body idx
+        done
+    done;
+    delta := max_residual residual;
+    normalize ();
+    incr sweeps;
+    record_sweep ();
+    if !omega >= 1.0 && diverging () then begin
+      if !omega > 1.0 then begin
+        omega := 1.0 +. ((!omega -. 1.0) /. 2.0);
+        if Float.abs (!omega -. 1.0) < 0.01 then omega := 1.0
+      end
+      else omega := 0.7;
+      best := infinity;
+      stall := 0;
+      delta := infinity
+    end;
+    continue_ := Float.is_nan !delta || !delta > cfg.tolerance
+  done;
   Obs.add (Obs.counter "solver.iterations") !sweeps;
   Obs.set (Obs.gauge "solver.final_residual") !delta;
   (* geometric-mean contraction factor per sweep — a cheap stand-in for
@@ -282,3 +240,151 @@ let run cfg sys pi =
       (Float.exp
          (Float.log (!delta /. !first_delta) /. float_of_int (!sweeps - 1)));
   { sweeps = !sweeps; residual = !delta; converged = !delta <= cfg.tolerance }
+
+(* ---- Direct solve: banded GTH elimination ---- *)
+
+(* The cost model's caps, from the crossover measured in
+   doc/performance.md: a system is eliminated when its update count
+   [size * bl * bu] and its band [size * (bl + bu + 1)] floats are both
+   within them. *)
+let direct_max_updates = 200_000_000.0
+let direct_max_band_words = 4_194_304.0
+
+(* Lower and upper bandwidth of the generator: a transition [i -> j]
+   lies [i - j] below the diagonal when [i > j], [j - i] above it when
+   [j > i]. *)
+let bandwidths sys =
+  let bl = ref 0 and bu = ref 0 in
+  for j = 0 to sys.size - 1 do
+    for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+      let i = sys.in_src.(e) in
+      if i - j > !bl then bl := i - j;
+      if j - i > !bu then bu := j - i
+    done
+  done;
+  (!bl, !bu)
+
+let within_caps ~size ~bl ~bu =
+  let n = float_of_int size in
+  n *. float_of_int bl *. float_of_int bu <= direct_max_updates
+  && n *. float_of_int (bl + bu + 1) <= direct_max_band_words
+
+let eliminates sys =
+  let bl, bu = bandwidths sys in
+  within_caps ~size:sys.size ~bl ~bu
+
+(* [max_j |update_j - pi_j|], the residual the sweeps stop on. *)
+let balance_residual sys pi =
+  let m = ref 0.0 in
+  for j = 0 to sys.size - 1 do
+    if sys.exit.(j) > 0.0 then begin
+      let flow = ref 0.0 in
+      for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+        flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
+      done;
+      let r = abs_float ((!flow /. sys.exit.(j)) -. pi.(j)) in
+      if Float.is_nan r || r > !m then m := r
+    end
+  done;
+  !m
+
+(* Grassmann-Taksar-Heyman elimination on the generator stored as a
+   (bl, bu) band: row [i] keeps columns [i - bl .. i + bu] at
+   [band.(i * w + col - i + bl)]. States are eliminated from the last
+   down; eliminating [k] adds to the entries [(i, j)] with
+   [k - bu <= i < k] and [k - bl <= j < k], which lie inside the band,
+   so there is no fill outside it and the work is at most
+   [size * bl * bu] updates. Each pivot is a sum of rates, never a
+   difference, so no pivoting is needed. The diagonal is never read.
+   Writes the normalized vector into [pi] and returns [true]; returns
+   [false] with [pi] untouched when a pivot is 0 (the system is not
+   irreducible) or the vector does not normalize. *)
+let gth sys ~bl ~bu pi =
+  let n = sys.size in
+  let w = bl + bu + 1 in
+  let band = Array.make (n * w) 0.0 in
+  for j = 0 to n - 1 do
+    for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+      let i = sys.in_src.(e) in
+      let at = (i * w) + j - i + bl in
+      band.(at) <- band.(at) +. sys.in_rate.(e)
+    done
+  done;
+  let irreducible = ref true in
+  let k = ref (n - 1) in
+  while !irreducible && !k > 0 do
+    let k_ = !k in
+    let row_k = (k_ * w) - k_ + bl in
+    let lo = max 0 (k_ - bl) in
+    let s = ref 0.0 in
+    for j = lo to k_ - 1 do
+      s := !s +. band.(row_k + j)
+    done;
+    if !s > 0.0 then begin
+      for i = max 0 (k_ - bu) to k_ - 1 do
+        let row_i = (i * w) - i + bl in
+        let a = band.(row_i + k_) in
+        if a <> 0.0 then begin
+          let a = a /. !s in
+          band.(row_i + k_) <- a;
+          for j = lo to k_ - 1 do
+            band.(row_i + j) <- band.(row_i + j) +. (a *. band.(row_k + j))
+          done
+        end
+      done;
+      decr k
+    end
+    else irreducible := false
+  done;
+  !irreducible
+  && begin
+    (* pi_j is the inflow from states below j in the chain censored
+       on [0 .. j], whose column the elimination scaled by 1/s_j *)
+    let x = Array.make n 1.0 in
+    let total = ref 1.0 in
+    for j = 1 to n - 1 do
+      let acc = ref 0.0 in
+      for i = max 0 (j - bu) to j - 1 do
+        acc := !acc +. (x.(i) *. band.((i * w) + j - i + bl))
+      done;
+      x.(j) <- !acc;
+      total := !total +. !acc
+    done;
+    Float.is_finite !total
+    && begin
+      for j = 0 to n - 1 do
+        pi.(j) <- x.(j) /. !total
+      done;
+      true
+    end
+  end
+
+let run cfg sys pi =
+  match cfg.method_ with
+  | Some method_ -> sweep cfg method_ sys pi
+  | None ->
+    let bl, bu = bandwidths sys in
+    Obs.set (Obs.gauge "solver.bandwidth_lower") (float_of_int bl);
+    Obs.set (Obs.gauge "solver.bandwidth_upper") (float_of_int bu);
+    if not (within_caps ~size:sys.size ~bl ~bu) then
+      sweep cfg Gauss_seidel sys pi
+    else begin
+      (* both counters exist once a system is eliminated, so a run's
+         metrics show its fallbacks even when there are none *)
+      let fallbacks = Obs.counter "solver.direct_fallbacks" in
+      Obs.incr (Obs.counter "solver.direct");
+      let residual =
+        if gth sys ~bl ~bu pi then balance_residual sys pi else infinity
+      in
+      if residual <= cfg.tolerance then begin
+        Obs.set (Obs.gauge "solver.final_residual") residual;
+        { sweeps = 0; residual; converged = true }
+      end
+      else begin
+        (* a zero pivot leaves [pi] as given; a residual above the
+           tolerance leaves the eliminated vector for the sweeps to
+           finish *)
+        Obs.incr fallbacks;
+        sweep cfg Gauss_seidel sys pi
+      end
+    end

@@ -1,16 +1,33 @@
-(** CSR sparse steady-state solver kernels.
+(** Steady-state solver kernels: a banded direct solve and CSR sweeps.
 
     The system is a local, contiguous view of one irreducible subset of
     a CTMC: states renumbered [0 .. size-1] (callers should use a BFS
-    order for cache locality — see {!Mv_markov.Ctmc}), incoming
-    transitions in CSR form, and per-state exit rates. Solves
-    [pi_j = (sum_i pi_i q_ij) / E_j] with post-sweep normalization.
+    order, which keeps the band narrow and the sweeps' accesses local —
+    see {!Mv_markov.Ctmc}), incoming transitions in CSR form, and
+    per-state exit rates. Solves [pi_j = (sum_i pi_i q_ij) / E_j],
+    normalized.
 
     {!run} is the single entry point; every front end (CLI, daemon
     ops, bench, {!Mv_markov.Ctmc}) builds the same {!config} record,
     so a method/tolerance choice means the same thing everywhere.
 
-    Methods:
+    With no method forced ([config.method_ = None], the default),
+    {!run} measures the system's lower and upper bandwidth [bl] and
+    [bu] and solves it {e directly} when the elimination's
+    [size * bl * bu] updates and its [size * (bl + bu + 1)]-float band
+    are both within {!direct_max_updates} and {!direct_max_band_words}.
+    Otherwise it runs [Gauss_seidel].
+
+    The direct solve is Grassmann-Taksar-Heyman (GTH) elimination on
+    the band, last state first: every pivot is a sum of rates, so it
+    needs no pivoting and is as accurate as a dense LU solve. The
+    result must pass the same residual check as the sweeps; when a
+    pivot is 0 (the system is not irreducible) or the residual is above
+    the tolerance, [Gauss_seidel] continues from the eliminated vector
+    (from [pi] as given after a zero pivot). The choice depends only
+    on the system, never on the pool.
+
+    Methods (forced with [method_ = Some m], [mval solve --method]):
     - [Gauss_seidel]: in-place sweeps in {e colored order} — a greedy
       multi-coloring of the transition conflict graph groups states so
       that no state reads a same-class write, then every configuration
@@ -18,8 +35,7 @@
       permuted sweep runs sequentially; under a pool each class is a
       parallel loop over disjoint slots, and the residual max and
       normalization sums stay sequential — so the iterate sequence is
-      {e bitwise identical at any pool size}. The default: fewer
-      sweeps than Jacobi on every case study. On bipartite conflict
+      {e bitwise identical at any pool size}. On bipartite conflict
       graphs (e.g. pure cycles) the colored sweep can oscillate
       instead of contracting; a residual-stall detector then drops to
       an under-relaxed (0.7) sweep, which is convergent — the
@@ -32,24 +48,22 @@
       halved back toward [1.0] and iteration continues, so [Sor]
       degrades to Gauss-Seidel in the worst case instead of
       oscillating forever.
-    - [Jacobi]: damped Jacobi (damping 0.7); every update reads only
-      the previous iterate, so sweeps parallelize trivially. Kept as
-      the cross-check for the colored sweeps.
 
     The residual tested against [tolerance] is the unrelaxed one,
-    [max_j |update_j - pi_j|], so stopping criteria are comparable
-    across methods.
+    [max_j |update_j - pi_j|], for the direct solve as for the sweeps.
 
     Observability: per-sweep [solver.residual] series,
     [solver.iterations] counter, [solver.final_residual],
-    [solver.contraction] and [solver.colors] gauges. *)
+    [solver.contraction] and [solver.colors] gauges; for the direct
+    path the [solver.direct] and [solver.direct_fallbacks] counters and
+    the [solver.bandwidth_lower] / [solver.bandwidth_upper] gauges. *)
 
-type method_ = Jacobi | Gauss_seidel | Sor
+type method_ = Gauss_seidel | Sor
 
 val default_sor_omega : float
 
-(** Parse a [mval solve --method] name: ["jacobi"], ["gs"] (or
-    ["gauss-seidel"]), ["sor"]. *)
+(** Parse a [mval solve --method] name: ["gs"] (or ["gauss-seidel"]),
+    ["sor"]. *)
 val method_of_name : string -> method_ option
 
 val method_name : method_ -> string
@@ -63,7 +77,9 @@ type system = {
 }
 
 type config = {
-  method_ : method_;
+  method_ : method_ option;
+      (** [None]: the direct solve when the cost model allows it,
+          [Gauss_seidel] otherwise *)
   omega : float;  (** [Sor] relaxation factor; ignored by the others *)
   tolerance : float;
   max_sweeps : int;
@@ -72,7 +88,7 @@ type config = {
           identical with or without it *)
 }
 
-(** [config ()] — [Gauss_seidel], omega {!default_sor_omega},
+(** [config ()] — no forced method, omega {!default_sor_omega},
     tolerance [1e-13], max sweeps [200_000], no pool. *)
 val config :
   ?method_:method_ ->
@@ -83,13 +99,31 @@ val config :
   unit ->
   config
 
+(** [sweeps] is [0] when the direct solve's result passed the
+    residual check. *)
 type outcome = { sweeps : int; residual : float; converged : bool }
 
-(** [run config sys pi] iterates in place on [pi] (length [sys.size],
+(** [run config sys pi] solves in place on [pi] (length [sys.size],
     callers initialize it to a distribution). *)
 val run : config -> system -> float array -> outcome
 
+(** The largest update count, [size * bl * bu], that [run] eliminates
+    with no method forced. *)
+val direct_max_updates : float
+
+(** The largest band, [size * (bl + bu + 1)] floats, that [run]
+    eliminates with no method forced. *)
+val direct_max_band_words : float
+
 (**/**)
+
+(** Exposed for tests: [(bl, bu)], the largest [i - j] and [j - i]
+    over the transitions [i -> j]. *)
+val bandwidths : system -> int * int
+
+(** Exposed for tests: whether [run] with no forced method eliminates
+    [system]. *)
+val eliminates : system -> bool
 
 (** Exposed for tests: the colored order used by [Gauss_seidel]/[Sor]
     — [(order, class_start, nb_colors)]; within a class no two states

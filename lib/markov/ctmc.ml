@@ -95,10 +95,10 @@ let bsccs t =
    The subset is renumbered into a contiguous local system in BFS
    order from its first state (following outgoing transitions inside
    the subset), which keeps the incoming-CSR accesses of neighbouring
-   states close together; the actual sweeps are the Mv_kern.Solver
-   kernels. Method selection: Gauss-Seidel unless [method_] says
-   otherwise, with or without a pool (any pool size gives
-   bit-identical vectors). *)
+   states close together and the generator's band narrow; the solve
+   itself is Mv_kern.Solver.run, which eliminates narrow subsets and
+   sweeps the others unless [method_] forces the sweeps (any pool size
+   gives bit-identical vectors). *)
 let steady_state_on_subset t ?pool ?method_ ?(tolerance = 1e-13)
     ?(max_iterations = 200_000) subset =
   match subset with
@@ -160,13 +160,9 @@ let steady_state_on_subset t ?pool ?method_ ?(tolerance = 1e-13)
       t.transitions;
     let sys = { Solver.size; in_row; in_src; in_rate; exit } in
     let local = Array.make size (1.0 /. float_of_int size) in
-    (* Gauss-Seidel is the default under any pool size: the colored
-       sweeps parallelize on their own, so there is no Jacobi fallback
-       any more. *)
-    let method_ = Option.value method_ ~default:Solver.Gauss_seidel in
     let outcome =
       Solver.run
-        (Solver.config ~method_ ~tolerance ~max_sweeps:max_iterations ?pool ())
+        (Solver.config ?method_ ~tolerance ~max_sweeps:max_iterations ?pool ())
         sys local
     in
     let iterations = outcome.Solver.sweeps in
@@ -179,8 +175,10 @@ let steady_state_on_subset t ?pool ?method_ ?(tolerance = 1e-13)
     (pi, Solver_stats.{ iterations; residual; converged })
 
 (* Probability, from each state, of eventual absorption into a given
-   BSCC, via Gauss-Seidel on the embedded chain: a_s = sum p_ss' a_s'. *)
-let absorption_probabilities t bscc_list =
+   BSCC, via Gauss-Seidel on the embedded chain: a_s = sum p_ss' a_s',
+   with the caller's tolerance and sweep budget per BSCC. The stats add
+   up the sweeps over the BSCCs. *)
+let absorption_probabilities ~tolerance ~max_iterations t bscc_list =
   let rates = exit_rates t in
   let n = t.nb_states in
   let in_bscc = Array.make n (-1) in
@@ -211,15 +209,22 @@ let absorption_probabilities t bscc_list =
       !transient;
     !delta
   in
-  for k = 0 to k_count - 1 do
-    let iteration = ref 0 in
-    let delta = ref infinity in
-    while !delta > 1e-13 && !iteration < 200_000 do
-      delta := sweep k;
-      incr iteration
-    done
-  done;
-  prob
+  let stats = ref Solver_stats.exact in
+  if !transient <> [] then
+    for k = 0 to k_count - 1 do
+      let iteration = ref 0 in
+      let delta = ref infinity in
+      while !delta > tolerance && !iteration < max_iterations do
+        delta := sweep k;
+        incr iteration
+      done;
+      stats :=
+        Solver_stats.combine !stats
+          { iterations = !iteration; residual = !delta;
+            converged = !delta <= tolerance }
+    done;
+  Obs.add (Obs.counter "solver.iterations") !stats.iterations;
+  (prob, !stats)
 
 let steady_state_stats ?pool ?method_ ?(tolerance = 1e-13)
     ?(max_iterations = 200_000) t =
@@ -230,9 +235,11 @@ let steady_state_stats ?pool ?method_ ?(tolerance = 1e-13)
   | [ single ] ->
     steady_state_on_subset t ?pool ?method_ ~tolerance ~max_iterations single
   | _ ->
-    let reach = absorption_probabilities t bottom in
+    let reach, reach_stats =
+      absorption_probabilities ~tolerance ~max_iterations t bottom
+    in
     let pi = Array.make t.nb_states 0.0 in
-    let stats = ref Solver_stats.exact in
+    let stats = ref reach_stats in
     List.iteri
       (fun k members ->
          let alpha = reach.(k).(t.initial) in

@@ -54,12 +54,19 @@ val bsccs : t -> int list list
     state.
 
     Each BSCC is renumbered in BFS order into a contiguous CSR system
-    and solved by the {!Mv_kern.Solver} kernels. [method_] selects the
-    iteration: Gauss-Seidel (the default — fewest iterations),
-    [Sor omega], or damped Jacobi. The default does not depend on the
-    [pool]: a pool of size [> 1] runs the colored Gauss-Seidel sweeps
+    and solved by {!Mv_kern.Solver.run}. By default a BSCC whose band
+    is narrow enough in that order is solved directly (banded GTH
+    elimination) and any other by colored Gauss-Seidel; [method_]
+    forces the sweeps: [Gauss_seidel] or [Sor]. The choice does not
+    depend on the [pool]: a pool of size [> 1] runs the colored sweeps
     in parallel, and every method gives bit-identical vectors at any
-    pool size. *)
+    pool size.
+
+    With several BSCCs, the probability of absorption into each is
+    computed by Gauss-Seidel sweeps on the embedded chain, under the
+    same [tolerance] and [max_iterations] (per BSCC). Their sweeps,
+    residual and convergence are part of the returned
+    {!Solver_stats.t}. *)
 
 val steady_state :
   ?pool:Mv_par.Pool.t ->

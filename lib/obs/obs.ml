@@ -684,17 +684,24 @@ let headlines () =
      if total > 0.0 then
        add "states/s" (Printf.sprintf "%.0f" (float_of_int states /. total))
    | Some _ | None -> ());
-  (match find_counter "solver.iterations" with
-   | Some n when n > 0 ->
-     add "solver iterations" (string_of_int n);
-     (match find_gauge "solver.final_residual" with
-      | Some r -> add "final residual" (Printf.sprintf "%.3g" r)
-      | None -> ());
-     (match find_gauge "solver.contraction" with
-      | Some r when r > 0.0 ->
-        add "contraction/iter" (Printf.sprintf "%.4f" r)
-      | Some _ | None -> ())
-   | Some _ | None -> ());
+  let positive name =
+    match find_counter name with
+    | Some n when n > 0 -> Some n
+    | Some _ | None -> None
+  in
+  let direct = positive "solver.direct"
+  and iterations = positive "solver.iterations" in
+  Option.iter (fun n -> add "direct solves" (string_of_int n)) direct;
+  Option.iter (fun n -> add "solver iterations" (string_of_int n)) iterations;
+  if Option.is_some direct || Option.is_some iterations then
+    (match find_gauge "solver.final_residual" with
+     | Some r -> add "final residual" (Printf.sprintf "%.3g" r)
+     | None -> ());
+  if Option.is_some iterations then
+    (match find_gauge "solver.contraction" with
+     | Some r when r > 0.0 ->
+       add "contraction/iter" (Printf.sprintf "%.4f" r)
+     | Some _ | None -> ());
   (match find_counter "des.events" with
    | Some n when n > 0 -> add "DES events" (string_of_int n)
    | Some _ | None -> ());

@@ -469,7 +469,8 @@ let run_solve config args =
     | Some name -> (
       match Mv_kern.Solver.method_of_name name with
       | Some m -> Some m
-      | None -> bad "unknown solve method %S" name)
+      | None ->
+        bad "unknown solve method %S (expected gs, gauss-seidel or sor)" name)
   in
   let config =
     {

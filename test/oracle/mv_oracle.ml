@@ -1,6 +1,8 @@
-(* Reference minimizers: the signature-refinement engines that the
-   flat kernels of Mv_bisim and Mv_imc.Lump replaced, kept as
-   sequential, list-based test oracles. Nothing in lib/ uses them.
+(* Reference engines, kept as sequential test oracles; nothing in lib/
+   uses them. The minimizers are the signature-refinement engines that
+   the flat kernels of Mv_bisim and Mv_imc.Lump replaced; [Linalg] is
+   the dense LU steady-state solve that the Mv_kern.Solver kernels are
+   checked against.
 
    Every engine recomputes the signature of every state each round,
    keys each state by its old block and its signature, and numbers the
@@ -133,4 +135,146 @@ module Lump = struct
                 (fun b r acc -> (b, Printf.sprintf "%.12e" r) :: acc)
                 rates.(s) []
               |> List.sort compare )))
+end
+
+(* Dense linear algebra: Gaussian elimination with partial pivoting,
+   and the stationary distribution of a small irreducible CTMC by a
+   direct solve of its balance equations. *)
+module Linalg = struct
+  module Ctmc = Mv_markov.Ctmc
+
+  exception Singular
+
+  let check_shape a b =
+    let n = Array.length a in
+    Array.iter
+      (fun row -> if Array.length row <> n then invalid_arg "Linalg.solve: shape")
+      a;
+    if Array.length b <> n then invalid_arg "Linalg.solve: shape"
+
+  (* The LU factors of [a], which is not modified: row [k] of the result
+     holds U on and above the diagonal and the multipliers of L below
+     it, and [perm.(k)] is the row of [a] that ended up at [k]. Raises
+     [Singular] when no pivot exceeds [tiny]. *)
+  let factor ~tiny a =
+    let n = Array.length a in
+    let m = Array.map Array.copy a in
+    let perm = Array.init n Fun.id in
+    for col = 0 to n - 1 do
+      let pivot = ref col in
+      for row = col + 1 to n - 1 do
+        if abs_float m.(row).(col) > abs_float m.(!pivot).(col) then pivot := row
+      done;
+      if not (abs_float m.(!pivot).(col) > tiny) then raise Singular;
+      if !pivot <> col then begin
+        let tmp = m.(col) in
+        m.(col) <- m.(!pivot);
+        m.(!pivot) <- tmp;
+        let tp = perm.(col) in
+        perm.(col) <- perm.(!pivot);
+        perm.(!pivot) <- tp
+      end;
+      for row = col + 1 to n - 1 do
+        let factor = m.(row).(col) /. m.(col).(col) in
+        m.(row).(col) <- factor;
+        if factor <> 0.0 then
+          for k = col + 1 to n - 1 do
+            m.(row).(k) <- m.(row).(k) -. (factor *. m.(col).(k))
+          done
+      done
+    done;
+    (m, perm)
+
+  let substitute (m, perm) b =
+    let n = Array.length m in
+    let x = Array.map (fun p -> b.(p)) perm in
+    for row = 1 to n - 1 do
+      for k = 0 to row - 1 do
+        x.(row) <- x.(row) -. (m.(row).(k) *. x.(k))
+      done
+    done;
+    for row = n - 1 downto 0 do
+      for k = row + 1 to n - 1 do
+        x.(row) <- x.(row) -. (m.(row).(k) *. x.(k))
+      done;
+      x.(row) <- x.(row) /. m.(row).(row)
+    done;
+    x
+
+  (* [solve a b] solves [a x = b]; [a] is square, row-major and not
+     modified. Raises [Singular] when no pivot exceeds 1e-12. *)
+  let solve a b =
+    check_shape a b;
+    if Array.length a = 0 then [||] else substitute (factor ~tiny:1e-12 a) b
+
+  (* Sums carried as an unevaluated pair [hi + lo] (Knuth's two-sum and
+     an fma product), about twice the precision of a float. *)
+  let add_exact (hi, lo) x =
+    let s = hi +. x in
+    let b = s -. hi in
+    (s, lo +. ((hi -. (s -. b)) +. (x -. b)))
+
+  let add_product acc a b =
+    let p = a *. b in
+    let hi, lo = add_exact acc p in
+    (hi, lo +. Float.fma a b (-.p))
+
+  (* Raises [Invalid_argument] when the chain is reducible or has more
+     than 2,000 states. The rows of the system are the columns of the
+     generator (pi Q = 0 transposed), the last one replaced by
+     sum(pi) = 1, and its unknowns are pi_i * E_i (E the exit rates):
+     scaled so, every column but the last entry is a jump probability
+     and the diagonal is -1. Near-decomposable chains still make it
+     ill-conditioned (condition numbers near 1e13 occur with rates over
+     1e-6..1e3), so the LU solution is refined: each round solves for
+     the correction against the residual [b - A x], computed in double
+     the float precision from the transitions themselves (an outflow as
+     the rate times the state's probability, never through a rounded
+     diagonal). *)
+  let steady_state_exact ctmc =
+    let n = Ctmc.nb_states ctmc in
+    if n > 2_000 then invalid_arg "Linalg.steady_state_exact: too large";
+    (match Ctmc.bsccs ctmc with
+     | [ single ] when List.length single = n -> ()
+     | _ -> invalid_arg "Linalg.steady_state_exact: chain is not irreducible");
+    let exit = Ctmc.exit_rates ctmc in
+    let a = Array.make_matrix n n 0.0 in
+    Ctmc.iter_transitions ctmc (fun tr ->
+        let s = tr.Ctmc.src and d = tr.Ctmc.dst in
+        if s <> d then begin
+          a.(d).(s) <- a.(d).(s) +. (tr.Ctmc.rate /. exit.(s));
+          a.(s).(s) <- -1.0
+        end);
+    for col = 0 to n - 1 do
+      a.(n - 1).(col) <- 1.0 /. exit.(col)
+    done;
+    (* the system is regular for an irreducible chain, however small
+       its pivots get *)
+    let lu = factor ~tiny:0.0 a in
+    let unscale y = Array.mapi (fun i yi -> yi /. exit.(i)) y in
+    let b = Array.make n 0.0 in
+    b.(n - 1) <- 1.0;
+    let x = unscale (substitute lu b) in
+    let residual () =
+      let r = Array.make n (0.0, 0.0) in
+      Ctmc.iter_transitions ctmc (fun tr ->
+          let s = tr.Ctmc.src and d = tr.Ctmc.dst in
+          if s <> d then begin
+            r.(s) <- add_product r.(s) tr.Ctmc.rate x.(s);
+            r.(d) <- add_product r.(d) (-.tr.Ctmc.rate) x.(s)
+          end);
+      r.(n - 1) <- Array.fold_left (fun acc v -> add_exact acc (-.v)) (1.0, 0.0) x;
+      Array.map (fun (hi, lo) -> hi +. lo) r
+    in
+    (* each round shrinks the error by about cond(A) * epsilon; stop
+       once the correction is at rounding level or stops shrinking *)
+    let last = ref infinity and rounds = ref 0 in
+    while !last > epsilon_float && !rounds < 100 do
+      let d = unscale (substitute lu (residual ())) in
+      Array.iteri (fun j dj -> x.(j) <- x.(j) +. dj) d;
+      let size = Array.fold_left (fun m v -> Float.max m (abs_float v)) 0.0 d in
+      last := if size < 0.5 *. !last then size else 0.0;
+      incr rounds
+    done;
+    x
 end

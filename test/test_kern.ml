@@ -381,14 +381,14 @@ let max_abs_diff a b =
   !m
 
 let solver_methods_agree_prop =
-  QCheck2.Test.make ~name:"solver: gs, sor and jacobi give the same vector"
+  QCheck2.Test.make ~name:"solver: gs, sor and direct give the same vector"
     ~count:60 ctmc_gen
     (fun ctmc ->
        let solve m = Ctmc.steady_state ~method_:m ctmc in
        let gs = solve Solver.Gauss_seidel in
        let sor = solve Solver.Sor in
-       let jac = solve Solver.Jacobi in
-       max_abs_diff gs sor < 1e-9 && max_abs_diff gs jac < 1e-9)
+       let direct = Ctmc.steady_state ctmc in
+       max_abs_diff gs sor < 1e-9 && max_abs_diff gs direct < 1e-9)
 
 (* A cycle system 0 -> 1 -> ... -> n-1 -> 0, all rates 1: steady
    state is uniform, and the conflict graph is the cycle itself. *)
@@ -403,14 +403,18 @@ let cycle_system n =
 
 let test_solver_run_config () =
   let cfg = Solver.config () in
-  Alcotest.(check bool) "default method is gs" true
-    (cfg.Solver.method_ = Solver.Gauss_seidel);
+  Alcotest.(check bool) "no method forced by default" true
+    (cfg.Solver.method_ = None);
   Alcotest.(check bool) "no pool by default" true
     (match cfg.Solver.pool with None -> true | Some _ -> false);
   let n = 5 in
   let sys = cycle_system n in
   let pi = Array.make n (1.0 /. float_of_int n) in
-  let outcome = Solver.run (Solver.config ~tolerance:1e-12 ()) sys pi in
+  let outcome =
+    Solver.run
+      (Solver.config ~method_:Solver.Gauss_seidel ~tolerance:1e-12 ())
+      sys pi
+  in
   Alcotest.(check bool) "converged" true outcome.Solver.converged;
   Alcotest.(check bool) "sweeps counted" true (outcome.Solver.sweeps > 0);
   Alcotest.(check bool) "residual below tolerance" true
@@ -426,7 +430,146 @@ let test_solver_run_config () =
   let outcome =
     Solver.run (Solver.config ~method_:Solver.Sor ~omega:1.9 ()) sys pi
   in
-  Alcotest.(check bool) "sor converged" true outcome.Solver.converged
+  Alcotest.(check bool) "sor converged" true outcome.Solver.converged;
+  (* the default eliminates a system this small: no sweeps *)
+  let pi = Array.make n (1.0 /. float_of_int n) in
+  let outcome = Solver.run (Solver.config ~tolerance:1e-12 ()) sys pi in
+  Alcotest.(check int) "direct: no sweeps" 0 outcome.Solver.sweeps;
+  Alcotest.(check bool) "direct: converged" true outcome.Solver.converged;
+  Array.iter
+    (fun x ->
+       Alcotest.(check bool) "direct: uniform steady state" true
+         (Float.abs (x -. 0.2) < 1e-15))
+    pi
+
+(* Birth-death system over [n] states: [j] is fed by [j - 1] at rate 1
+   and by [j + 1] at rate 2, so both bandwidths are 1. *)
+let birth_death_system n =
+  let feeders j =
+    (if j > 0 then [ (j - 1, 1.0) ] else []) @ if j < n - 1 then [ (j + 1, 2.0) ] else []
+  in
+  let incoming = Array.init n feeders in
+  let in_row = Array.make (n + 1) 0 in
+  Array.iteri (fun j ins -> in_row.(j + 1) <- in_row.(j) + List.length ins) incoming;
+  let flat = List.concat (Array.to_list incoming) in
+  {
+    Solver.size = n;
+    in_row;
+    in_src = Array.of_list (List.map fst flat);
+    in_rate = Array.of_list (List.map snd flat);
+    exit =
+      Array.init n (fun j ->
+          (if j > 0 then 2.0 else 0.0) +. if j < n - 1 then 1.0 else 0.0);
+  }
+
+(* Run [f] with fresh, enabled telemetry; return its result and the
+   value of each named counter afterwards. *)
+let with_counters names f =
+  Mv_obs.Obs.reset ();
+  Mv_obs.Obs.enable ();
+  Fun.protect ~finally:Mv_obs.Obs.reset (fun () ->
+      let r = f () in
+      (r, List.map (fun c -> Mv_obs.Obs.(counter_value (counter c))) names))
+
+let direct_counters = [ "solver.direct"; "solver.direct_fallbacks" ]
+
+(* The cost model on both sides of its caps. A cycle of n states in
+   BFS order has bandwidths (n - 1, 1): its band is n * (n + 1)
+   floats, so the largest cycle within the band cap is eliminated and
+   the next one is swept. *)
+let test_direct_cost_cap () =
+  Alcotest.(check (pair int int)) "cycle bandwidths" (9, 1)
+    (Solver.bandwidths (cycle_system 10));
+  Alcotest.(check (pair int int)) "birth-death bandwidths" (1, 1)
+    (Solver.bandwidths (birth_death_system 10));
+  let cap = ref 2 in
+  while
+    let n = float_of_int (!cap + 1) in
+    n *. (n +. 1.0) <= Solver.direct_max_band_words
+    && n *. (n -. 1.0) <= Solver.direct_max_updates
+  do
+    incr cap
+  done;
+  Alcotest.(check bool) "largest cycle within the caps is eliminated" true
+    (Solver.eliminates (cycle_system !cap));
+  let wide = cycle_system (!cap + 1) in
+  Alcotest.(check bool) "next cycle is not" false (Solver.eliminates wide);
+  (* above the cap: the sweeps run (a uniform cycle is solved by one) *)
+  let n = wide.Solver.size in
+  let pi = Array.make n (1.0 /. float_of_int n) in
+  let outcome, counts =
+    with_counters direct_counters (fun () ->
+        Solver.run (Solver.config ()) wide pi)
+  in
+  Alcotest.(check bool) "wide: swept" true (outcome.Solver.sweeps > 0);
+  Alcotest.(check (list int)) "wide: not eliminated" [ 0; 0 ] counts;
+  (* within the cap: eliminated, no sweeps, and the answer is the
+     geometric distribution pi_j ~ (1/2)^j *)
+  let n = 2000 in
+  let sys = birth_death_system n in
+  let pi = Array.make n (1.0 /. float_of_int n) in
+  let outcome, counts =
+    with_counters direct_counters (fun () ->
+        Solver.run (Solver.config ()) sys pi)
+  in
+  Alcotest.(check int) "narrow: no sweeps" 0 outcome.Solver.sweeps;
+  Alcotest.(check bool) "narrow: converged" true outcome.Solver.converged;
+  Alcotest.(check (list int)) "narrow: eliminated, no fallback" [ 1; 0 ] counts;
+  Alcotest.(check bool) "narrow: pi_0 = 1/2" true (Float.abs (pi.(0) -. 0.5) < 1e-15);
+  Alcotest.(check bool) "narrow: pi_1 = 1/4" true (Float.abs (pi.(1) -. 0.25) < 1e-15)
+
+(* A zero pivot: the last state has no transition back to the others,
+   so the system is not irreducible. The sweeps take over from [pi] as
+   given and drain the mass into the absorbing state. *)
+let test_direct_zero_pivot_fallback () =
+  let sys =
+    {
+      Solver.size = 3;
+      (* 0 <-> 1 at rate 1, 0 -> 2 at rate 1, nothing out of 2 *)
+      in_row = [| 0; 1; 2; 3 |];
+      in_src = [| 1; 0; 0 |];
+      in_rate = [| 1.0; 1.0; 1.0 |];
+      exit = [| 2.0; 1.0; 0.0 |];
+    }
+  in
+  let pi = Array.make 3 (1.0 /. 3.0) in
+  let outcome, counts =
+    with_counters direct_counters (fun () ->
+        Solver.run (Solver.config ()) sys pi)
+  in
+  Alcotest.(check (list int)) "eliminated, then fell back" [ 1; 1 ] counts;
+  Alcotest.(check bool) "swept" true (outcome.Solver.sweeps > 0);
+  Alcotest.(check bool) "converged" true outcome.Solver.converged;
+  Alcotest.(check bool) "mass drained into state 2" true
+    (Float.abs (pi.(2) -. 1.0) < 1e-9)
+
+(* A residual above the tolerance: the sweeps continue from the
+   eliminated vector. No residual passes a negative tolerance, so the
+   fallback is certain; the stiff chain shows where the sweeps started,
+   since three sweeps from the uniform vector are nowhere near it. *)
+let test_direct_residual_fallback () =
+  let n = 200 in
+  let sys = birth_death_system n in
+  let exact = Array.make n (1.0 /. float_of_int n) in
+  ignore (Solver.run (Solver.config ()) sys exact);
+  let pi = Array.make n (1.0 /. float_of_int n) in
+  let outcome, counts =
+    with_counters direct_counters (fun () ->
+        Solver.run (Solver.config ~tolerance:(-1.0) ~max_sweeps:3 ()) sys pi)
+  in
+  Alcotest.(check (list int)) "eliminated, then fell back" [ 1; 1 ] counts;
+  Alcotest.(check int) "swept to the budget" 3 outcome.Solver.sweeps;
+  Alcotest.(check bool) "not converged" false outcome.Solver.converged;
+  Alcotest.(check bool) "continued from the eliminated vector" true
+    (max_abs_diff pi exact < 1e-12);
+  let uniform = Array.make n (1.0 /. float_of_int n) in
+  ignore
+    (Solver.run
+       (Solver.config ~method_:Solver.Gauss_seidel ~tolerance:(-1.0)
+          ~max_sweeps:3 ())
+       sys uniform);
+  Alcotest.(check bool) "three sweeps from uniform are far off" true
+    (max_abs_diff uniform exact > 1e-3)
 
 let test_coloring_valid () =
   let n = 6 in
@@ -457,26 +600,8 @@ let test_coloring_valid () =
    so the one-time set-up (coloring, scratch arrays) cancels out. *)
 let test_sweeps_allocation_free () =
   Mv_obs.Obs.reset ();
-  (* birth-death chain: j is fed by j-1 at rate 1 and by j+1 at rate 2 *)
   let n = 2000 in
-  let feeders j =
-    (if j > 0 then [ (j - 1, 1.0) ] else []) @ if j < n - 1 then [ (j + 1, 2.0) ] else []
-  in
-  let incoming = Array.init n feeders in
-  let in_row = Array.make (n + 1) 0 in
-  Array.iteri (fun j ins -> in_row.(j + 1) <- in_row.(j) + List.length ins) incoming;
-  let flat = List.concat (Array.to_list incoming) in
-  let sys =
-    {
-      Solver.size = n;
-      in_row;
-      in_src = Array.of_list (List.map fst flat);
-      in_rate = Array.of_list (List.map snd flat);
-      exit =
-        Array.init n (fun j ->
-            (if j > 0 then 2.0 else 0.0) +. if j < n - 1 then 1.0 else 0.0);
-    }
-  in
+  let sys = birth_death_system n in
   List.iter
     (fun method_ ->
        let run sweeps =
@@ -493,7 +618,7 @@ let test_sweeps_allocation_free () =
          (Printf.sprintf "%s: %.1f minor words per sweep over %d states"
             (Solver.method_name method_) per_sweep n)
          true (per_sweep < 32.0))
-    [ Solver.Gauss_seidel; Solver.Sor; Solver.Jacobi ]
+    [ Solver.Gauss_seidel; Solver.Sor ]
 
 (* ---- the parallel engines vs -j1, above their thresholds ---- *)
 
@@ -564,7 +689,7 @@ let test_solver_method_names () =
        in
        Alcotest.(check (option string)) name expected got)
     [
-      ("jacobi", Some "jacobi");
+      ("jacobi", None);
       ("gs", Some "gs");
       ("gauss-seidel", Some "gs");
       ("sor", Some "sor");
@@ -594,6 +719,12 @@ let suite =
     QCheck_alcotest.to_alcotest solver_methods_agree_prop;
     Alcotest.test_case "solver method names" `Quick test_solver_method_names;
     Alcotest.test_case "Solver.run config API" `Quick test_solver_run_config;
+    Alcotest.test_case "solver: direct path on each side of the cost cap"
+      `Quick test_direct_cost_cap;
+    Alcotest.test_case "solver: zero pivot falls back to the sweeps" `Quick
+      test_direct_zero_pivot_fallback;
+    Alcotest.test_case "solver: residual fallback continues the sweeps" `Quick
+      test_direct_residual_fallback;
     Alcotest.test_case "coloring is a valid conflict coloring" `Quick
       test_coloring_valid;
     Alcotest.test_case "solver sweeps allocate nothing per state" `Quick

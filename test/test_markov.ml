@@ -5,6 +5,8 @@ module Sparse = Mv_markov.Sparse
 module Poisson = Mv_markov.Poisson
 module Dtmc = Mv_markov.Dtmc
 module Ctmc = Mv_markov.Ctmc
+module Linalg = Mv_oracle.Linalg
+module Solver = Mv_kern.Solver
 
 let close ?(eps = 1e-8) msg expected actual =
   Alcotest.(check bool)
@@ -148,6 +150,33 @@ let test_ctmc_bsccs_and_reducible_steady () =
   close ~eps:1e-9 "absorb 2" 0.75 pi.(2);
   close ~eps:1e-9 "transient mass" 0.0 pi.(0)
 
+(* Two BSCCs reached through a slow leak: 0 <-> 1 at rate 1, then
+   0 -> 2 and 1 -> 3 at rate 1e-9. By symmetry the answer is 1/2 on
+   states 2 and 3, but the absorption sweeps move ~1e-9 of mass each,
+   so within the sweep budget they cannot reach it. The solve must then
+   say so instead of reporting a converged vector that sums to 4e-4. *)
+let test_slow_absorption_flagged () =
+  let tr src rate dst = { Ctmc.src; rate; actions = []; dst } in
+  let chain =
+    Ctmc.make ~nb_states:4 ~initial:0
+      [ tr 0 1.0 1; tr 1 1.0 0; tr 0 1e-9 2; tr 1 1e-9 3 ]
+  in
+  let pi, stats = Ctmc.steady_state_stats chain in
+  let correct =
+    Float.abs (pi.(2) -. 0.5) < 1e-6 && Float.abs (pi.(3) -. 0.5) < 1e-6
+  in
+  Alcotest.(check bool) "correct or flagged not converged" true
+    (correct || not stats.Mv_markov.Solver_stats.converged);
+  Alcotest.(check bool) "absorption sweeps counted" true
+    (stats.Mv_markov.Solver_stats.iterations > 0);
+  (* the caller's budget reaches the absorption solve: 10 sweeps for
+     each of the two BSCCs *)
+  let _, capped = Ctmc.steady_state_stats ~max_iterations:10 chain in
+  Alcotest.(check int) "sweep budget honoured" (2 * 10)
+    capped.Mv_markov.Solver_stats.iterations;
+  Alcotest.(check bool) "capped solve not converged" false
+    capped.Mv_markov.Solver_stats.converged
+
 let test_ctmc_transient () =
   (* two-state: P(still in 0 at t) = exp(-lambda t) *)
   let lambda = 2.0 in
@@ -289,17 +318,17 @@ let test_throughputs_listing () =
 
 let test_linalg_solve () =
   let a = [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  let x = Mv_markov.Linalg.solve a [| 5.0; 10.0 |] in
+  let x = Linalg.solve a [| 5.0; 10.0 |] in
   close ~eps:1e-12 "x0" 1.0 x.(0);
   close ~eps:1e-12 "x1" 3.0 x.(1);
   (* input not modified *)
   close "a intact" 2.0 a.(0).(0);
-  Alcotest.check_raises "singular" Mv_markov.Linalg.Singular (fun () ->
-      ignore (Mv_markov.Linalg.solve [| [| 1.0; 1.0 |]; [| 2.0; 2.0 |] |] [| 1.0; 1.0 |]))
+  Alcotest.check_raises "singular" Linalg.Singular (fun () ->
+      ignore (Linalg.solve [| [| 1.0; 1.0 |]; [| 2.0; 2.0 |] |] [| 1.0; 1.0 |]))
 
 let test_linalg_steady_exact () =
   let chain = birth_death ~arrival:2.0 ~service:3.0 ~k:4 in
-  let exact = Mv_markov.Linalg.steady_state_exact chain in
+  let exact = Linalg.steady_state_exact chain in
   let analytic = Mv_xstream.Analytic.pi ~arrival:2.0 ~service:3.0 ~k:4 in
   Array.iteri
     (fun m p -> close ~eps:1e-12 (Printf.sprintf "exact pi %d" m) analytic.(m) p)
@@ -310,7 +339,7 @@ let test_linalg_steady_exact () =
       [ { Ctmc.src = 0; rate = 1.0; actions = []; dst = 1 } ]
   in
   try
-    ignore (Mv_markov.Linalg.steady_state_exact reducible);
+    ignore (Linalg.steady_state_exact reducible);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -342,9 +371,53 @@ let gs_vs_lu_prop =
              extra
        in
        let chain = Ctmc.make ~nb_states:n ~initial:0 transitions in
-       let gs = Ctmc.steady_state chain in
-       let lu = Mv_markov.Linalg.steady_state_exact chain in
+       let gs = Ctmc.steady_state ~method_:Solver.Gauss_seidel chain in
+       let lu = Linalg.steady_state_exact chain in
        Array.for_all2 (fun a b -> abs_float (a -. b) < 1e-7) gs lu)
+
+(* Property: the default solve, which eliminates chains this small,
+   agrees with the LU oracle within 1e-12. Every chain has a ring
+   0 -> 1 -> ... -> n-1 -> 0, so it is irreducible and, in BFS order,
+   its lower band is as wide as the chain; some also get the reverse
+   ring, and all get random chords. Rates are log-uniform over
+   1e-6..1e3. *)
+let direct_vs_lu_prop =
+  let gen =
+    QCheck2.Gen.(
+      let rate = map (fun e -> 10.0 ** e) (float_range (-6.0) 3.0) in
+      let* n = int_range 2 30 in
+      let* ring = list_repeat n rate in
+      let* back = option (list_repeat n rate) in
+      let* chords =
+        list_size (int_bound (2 * n))
+          (triple (int_bound (n - 1)) (int_bound (n - 1)) rate)
+      in
+      return (n, ring, back, chords))
+  in
+  let print (n, ring, back, chords) =
+    let rates l = String.concat "; " (List.map (Printf.sprintf "%h") l) in
+    Printf.sprintf "n=%d ring=[%s] back=[%s] chords=[%s]" n (rates ring)
+      (rates (Option.value back ~default:[]))
+      (String.concat "; "
+         (List.map (fun (s, d, r) -> Printf.sprintf "%d->%d %h" s d r) chords))
+  in
+  QCheck2.Test.make ~name:"direct steady state = LU oracle within 1e-12"
+    ~count:200 ~print gen
+    (fun (n, ring, back, chords) ->
+       let tr src rate dst = { Ctmc.src; rate; actions = []; dst } in
+       let transitions =
+         List.mapi (fun i r -> tr i r ((i + 1) mod n)) ring
+         @ List.mapi (fun i r -> tr ((i + 1) mod n) r i)
+             (Option.value back ~default:[])
+         @ List.filter_map
+             (fun (s, d, r) -> if s = d then None else Some (tr s r d))
+             chords
+       in
+       let chain = Ctmc.make ~nb_states:n ~initial:0 transitions in
+       let direct, stats = Ctmc.steady_state_stats chain in
+       let lu = Linalg.steady_state_exact chain in
+       stats.Mv_markov.Solver_stats.iterations = 0
+       && Array.for_all2 (fun a b -> abs_float (a -. b) <= 1e-12) direct lu)
 
 (* Property: steady state of random irreducible birth-death chains is a
    distribution satisfying detailed balance. *)
@@ -398,4 +471,7 @@ let suite =
     Alcotest.test_case "linalg exact steady state" `Quick
       test_linalg_steady_exact;
     QCheck_alcotest.to_alcotest gs_vs_lu_prop;
+    QCheck_alcotest.to_alcotest direct_vs_lu_prop;
+    Alcotest.test_case "slow absorption: correct or flagged" `Quick
+      test_slow_absorption_flagged;
   ]

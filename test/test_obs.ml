@@ -191,8 +191,14 @@ init (Producer |[push]| Queue(0)) |[pop]| Consumer
 let test_flow_instrumented () =
   fresh ();
   let spec = Flow.model_of_text queue_text in
+  (* the sweeps, forced: the default eliminates a chain this small *)
   let perf =
-    Flow.Run.performance Flow.Config.(default |> with_keep [ "pop" ]) spec
+    Flow.Run.performance
+      Flow.Config.(
+        default
+        |> with_keep [ "pop" ]
+        |> with_solve_method (Some Mv_kern.Solver.Gauss_seidel))
+      spec
   in
   let throughput = Flow.throughput perf ~gate:"pop" in
   Alcotest.(check bool) "throughput positive" true (throughput > 0.0);
@@ -222,7 +228,31 @@ let test_flow_instrumented () =
          (Obs.span_total_s name > 0.0))
     [ "explore"; "flow.generate"; "imc.lump"; "ctmc.steady_state"; "flow.solve" ];
   Alcotest.(check bool) "headlines curated" true
-    (List.mem_assoc "states explored" (Obs.headlines ()))
+    (List.mem_assoc "states explored" (Obs.headlines ()));
+  (* the default path records the elimination instead of sweeps *)
+  fresh ();
+  let perf =
+    Flow.Run.performance Flow.Config.(default |> with_keep [ "pop" ]) spec
+  in
+  let stats = Flow.solver_stats perf in
+  Alcotest.(check bool) "direct: converged" true
+    stats.Mv_markov.Solver_stats.converged;
+  Alcotest.(check int) "direct: no iterations" 0
+    stats.Mv_markov.Solver_stats.iterations;
+  Alcotest.(check int) "direct: one BSCC eliminated" 1
+    (Obs.counter_value (Obs.counter "solver.direct"));
+  Alcotest.(check int) "direct: no fallback" 0
+    (Obs.counter_value (Obs.counter "solver.direct_fallbacks"));
+  Alcotest.(check bool) "direct: band widths recorded" true
+    (Obs.gauge_value (Obs.gauge "solver.bandwidth_lower") >= 1.0
+     && Obs.gauge_value (Obs.gauge "solver.bandwidth_upper") >= 1.0);
+  Alcotest.(check bool) "direct: final residual recorded" true
+    (Obs.gauge_value (Obs.gauge "solver.final_residual")
+     = stats.Mv_markov.Solver_stats.residual);
+  Alcotest.(check bool) "direct: headline" true
+    (List.mem_assoc "direct solves" (Obs.headlines ()));
+  Alcotest.(check bool) "direct: throughput agrees with the sweeps" true
+    (Float.abs (Flow.throughput perf ~gate:"pop" -. throughput) < 1e-9)
 
 let test_parallel_matches_sequential () =
   fresh ();

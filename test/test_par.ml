@@ -390,7 +390,7 @@ let test_partitions_identical () =
 (* ---- solver determinism ---- *)
 
 (* A birth-death chain big enough (> 64 states) to engage the parallel
-   Jacobi and mat-vec paths. *)
+   mat-vec path. *)
 let chain n =
   let transitions = ref [] in
   for s = 0 to n - 2 do
@@ -408,17 +408,30 @@ let max_abs_diff a b =
   Array.iteri (fun i x -> d := max !d (abs_float (x -. b.(i)))) a;
   !d
 
+(* Both the colored Gauss-Seidel sweeps and the default direct solve
+   give the same bits at every pool size, and agree with each other. *)
 let test_steady_state_matches_sequential () =
   let c = chain 100 in
-  let reference = Ctmc.steady_state c in
+  let solve ?pool method_ = Ctmc.steady_state ?pool ?method_ c in
+  let gs = Some Mv_kern.Solver.Gauss_seidel in
+  let reference = solve gs in
   let total = Array.fold_left ( +. ) 0.0 reference in
   Alcotest.(check bool) "normalized" true (abs_float (total -. 1.0) < 1e-9);
-  let pi2 = with_pool 2 (fun pool -> Ctmc.steady_state ~pool c) in
-  let pi4 = with_pool 4 (fun pool -> Ctmc.steady_state ~pool c) in
-  Alcotest.(check bool) "jacobi(j2) vs gauss-seidel" true
-    (max_abs_diff reference pi2 <= 1e-12);
-  (* the Jacobi iteration itself is scheduling-independent: bitwise *)
-  Alcotest.(check bool) "j2 = j4 bitwise" true (pi2 = pi4)
+  let direct = solve None in
+  Alcotest.(check bool) "direct vs gauss-seidel" true
+    (max_abs_diff reference direct <= 1e-12);
+  List.iter
+    (fun domains ->
+       with_pool domains (fun pool ->
+           Alcotest.(check bool)
+             (Printf.sprintf "gauss-seidel -j %d bitwise" domains)
+             true
+             (solve ~pool gs = reference);
+           Alcotest.(check bool)
+             (Printf.sprintf "direct -j %d bitwise" domains)
+             true
+             (solve ~pool None = direct)))
+    [ 2; 4 ]
 
 let test_transient_bitwise () =
   let c = chain 100 in
@@ -490,7 +503,7 @@ let suite =
       test_generation_truncation_identical;
     Alcotest.test_case "partitions identical at any -j" `Quick
       test_partitions_identical;
-    Alcotest.test_case "steady state: jacobi vs gauss-seidel" `Quick
+    Alcotest.test_case "steady state bitwise at any -j" `Quick
       test_steady_state_matches_sequential;
     Alcotest.test_case "transient bitwise at any -j" `Quick
       test_transient_bitwise;
