@@ -339,7 +339,7 @@ let e4_erlang () =
          let conv = To_ctmc.convert (Imc.hide_all imc) in
          let ctmc = conv.To_ctmc.ctmc in
          let targets = Ctmc.absorbing_states ctmc in
-         let mean = (Ctmc.mean_first_passage ctmc ~targets).(Ctmc.initial ctmc) in
+         let mean, _ = Ctmc.mean_first_passage ctmc ~targets in
          let p_by t = Ctmc.reach_probability_by ctmc ~targets ~horizon:t in
          [ string_of_int phases;
            string_of_int (Imc.nb_states imc);
@@ -800,8 +800,7 @@ let write_bench_json path =
    case's IMC ([Imc.of_lts]): the incremental engine's partition must
    equal the oracle's, block ids included. Then the solvers on the
    xSTream tandem steady state: the default direct (GTH) solve, the
-   Gauss-Seidel and SOR sweeps, and their distance to the dense LU
-   oracle. The detail lands in BENCH_multival.json under "e10" for
+   Gauss-Seidel sweeps, and their distance to the dense LU oracle. The detail lands in BENCH_multival.json under "e10" for
    CI. *)
 let e10_kernels () =
   let best_of_3 f =
@@ -926,7 +925,6 @@ let e10_kernels () =
   in
   let solve m = Ctmc.steady_state_stats ~method_:m ctmc in
   let pi_gs, stats_gs = solve Mv_kern.Solver.Gauss_seidel in
-  let pi_sor, stats_sor = solve Mv_kern.Solver.Sor in
   let pi_lu = Mv_oracle.Linalg.steady_state_exact ctmc in
   let max_abs_diff a b =
     let d = ref 0.0 in
@@ -937,7 +935,6 @@ let e10_kernels () =
   let gs_vs_direct = max_abs_diff pi_gs pi_direct in
   let time_direct = best_of_3 (fun () -> Ctmc.steady_state_stats ctmc) in
   let time_gs = best_of_3 (fun () -> solve Mv_kern.Solver.Gauss_seidel) in
-  let time_sor = best_of_3 (fun () -> solve Mv_kern.Solver.Sor) in
   let time_lu =
     best_of_3 (fun () -> Mv_oracle.Linalg.steady_state_exact ctmc)
   in
@@ -962,7 +959,6 @@ let e10_kernels () =
         (if direct_chosen then "direct GTH (default)" else "default (swept)")
         stats_direct pi_direct time_direct;
       row "gauss-seidel" stats_gs pi_gs time_gs;
-      row "sor" stats_sor pi_sor time_sor;
       [ "dense LU (oracle)"; "-"; "-"; "-"; "0"; f time_lu ] ];
   (* E10c: the parallel kernels themselves — strong refinement (round
      batched splitter gather) and colored Gauss-Seidel at -j 8 against
@@ -1016,8 +1012,6 @@ let e10_kernels () =
       Json.Obj
         [ ("cases", Json.List (List.rev !case_json));
           ("gs_iterations", Json.Int stats_gs.Mv_markov.Solver_stats.iterations);
-          ("sor_iterations",
-           Json.Int stats_sor.Mv_markov.Solver_stats.iterations);
           ("direct_chosen", Json.Bool direct_chosen);
           ("direct_vs_lu", Json.Float direct_vs_lu);
           ("gs_vs_direct", Json.Float gs_vs_direct);

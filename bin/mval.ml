@@ -781,12 +781,15 @@ let solve_cmd =
       & opt (some string) None
       & info [ "method" ] ~docv:"M"
           ~doc:
-            "Force a steady-state iteration: $(b,gs) (colored \
+            "Force the steady-state sweeps: $(b,gs) (colored \
              Gauss-Seidel, parallel under $(b,-j) with bit-identical \
-             results) or $(b,sor) (over-relaxed Gauss-Seidel). By \
-             default each BSCC narrow enough in BFS order is solved by \
-             a direct banded elimination, and the others by $(b,gs). \
-             All methods agree within the solver tolerance.")
+             results). By default each BSCC narrow enough in BFS order \
+             is solved by a direct banded elimination, and the others \
+             by $(b,gs). Both agree within the solver tolerance. It \
+             covers the steady-state solves (each BSCC, and the \
+             absorption solve of a chain with several), not the \
+             passage-time solve of $(b,--time-to-first), which always \
+             takes the default.")
   in
   let run () model max_states keep first scheduler method_ jobs no_lint cache
       remote budget =
@@ -806,8 +809,8 @@ let solve_cmd =
                      line = None;
                      message =
                        Printf.sprintf
-                         "unknown solve method %S (expected gs, \
-                          gauss-seidel or sor)"
+                         "unknown solve method %S (expected gs or \
+                          gauss-seidel)"
                          name;
                    });
               exit 2)

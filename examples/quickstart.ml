@@ -53,7 +53,7 @@ let () =
   let throughput = Flow.throughput perf ~gate:"get" in
   Printf.printf "\nthroughput(get)        = %.4f jobs/s\n" throughput;
   Printf.printf "mean time to first get = %.4f s\n"
-    (Flow.time_to_first perf ~gate:"get");
+    (fst (Flow.time_to_first perf ~gate:"get"));
   Printf.printf "P(get by t=1)          = %.4f\n"
     (Flow.probability_by perf ~gate:"get" ~horizon:1.0);
 

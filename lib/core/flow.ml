@@ -475,8 +475,7 @@ let time_to_first perf ~gate =
   let redirected, absorbing =
     first_action_ctmc perf.conversion.To_ctmc.ctmc ~gate
   in
-  let hitting = Ctmc.mean_first_passage redirected ~targets:[ absorbing ] in
-  hitting.(Ctmc.initial redirected)
+  Ctmc.mean_first_passage redirected ~targets:[ absorbing ]
 
 let probability_by perf ~gate ~horizon =
   let redirected, absorbing =

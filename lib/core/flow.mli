@@ -223,8 +223,10 @@ val throughputs : performance -> (string * float) list
 
 (** Mean time until the first occurrence of an action on [gate],
     starting from the initial state ([infinity] if it may never
-    occur). *)
-val time_to_first : performance -> gate:string -> float
+    occur), with the stats of its renewal solve: check [converged]
+    before trusting the time. *)
+val time_to_first :
+  performance -> gate:string -> float * Mv_markov.Solver_stats.t
 
 (** Probability that an action on [gate] has occurred by [horizon]. *)
 val probability_by : performance -> gate:string -> horizon:float -> float

@@ -1,18 +1,16 @@
 module Obs = Mv_obs.Obs
 
-type method_ = Gauss_seidel | Sor
-
-let default_sor_omega = 1.25
+type method_ = Gauss_seidel
 
 let method_of_name = function
   | "gs" | "gauss-seidel" -> Some Gauss_seidel
-  | "sor" -> Some Sor
   | _ -> None
 
-let method_name = function Gauss_seidel -> "gs" | Sor -> "sor"
+let method_name Gauss_seidel = "gs"
 
 type system = {
   size : int;
+  border : int;
   in_row : int array;
   in_src : int array;
   in_rate : float array;
@@ -21,15 +19,13 @@ type system = {
 
 type config = {
   method_ : method_ option;
-  omega : float;
   tolerance : float;
   max_sweeps : int;
   pool : Mv_par.Pool.t option;
 }
 
-let config ?method_ ?(omega = default_sor_omega) ?(tolerance = 1e-13)
-    ?(max_sweeps = 200_000) ?pool () =
-  { method_; omega; tolerance; max_sweeps; pool }
+let config ?method_ ?(tolerance = 1e-13) ?(max_sweeps = 200_000) ?pool () =
+  { method_; tolerance; max_sweeps; pool }
 
 type outcome = { sweeps : int; residual : float; converged : bool }
 
@@ -120,10 +116,9 @@ let max_residual residual =
   done;
   !m
 
-(* The colored Gauss-Seidel ([Gauss_seidel]) or over-relaxed ([Sor])
-   sweeps, in place on [pi] until the residual reaches the tolerance or
-   the sweep budget runs out. *)
-let sweep cfg method_ sys pi =
+(* The colored Gauss-Seidel sweeps, in place on [pi] until the residual
+   reaches the tolerance or the sweep budget runs out. *)
+let sweep cfg sys pi =
   let k = sys.size in
   let sweeps = ref 0 in
   let delta = ref infinity in
@@ -158,19 +153,16 @@ let sweep cfg method_ sys pi =
   let order, class_start, nb_colors = coloring sys in
   Obs.set (Obs.gauge "solver.colors") (float_of_int nb_colors);
   let residual = Array.make (max k 1) 0.0 in
-  let omega = ref (match method_ with Sor -> cfg.omega | Gauss_seidel -> 1.0) in
-  (* Neither sweep is unconditionally convergent: over-relaxation
-     (omega > 1) can oscillate on nonsymmetric balance systems, and
-     the {e colored} order itself is periodic on bipartite conflict
-     graphs (a pure cycle: each class only feeds the other, so the
-     sweep operator keeps unit-modulus eigenvalues that natural-order
-     propagation would have damped). Watch the best residual
-     reached; when it stops improving, pull omega > 1 back toward
-     1.0, and drop omega = 1.0 to an under-relaxed 0.7 — damping
+  (* The colored order is periodic on bipartite conflict graphs (a
+     pure cycle: each class only feeds the other, so the sweep operator
+     keeps unit-modulus eigenvalues that natural-order propagation
+     would have damped). Watch the best residual reached; when it stops
+     improving, drop to an under-relaxed sweep (omega 0.7): damping
      moves every unit-circle eigenvalue except the stationary one
-     strictly inside, restoring convergence. The fallback is driven
-     only by the residual sequence, which is bitwise identical at
-     every pool size, so determinism is preserved. *)
+     strictly inside, restoring convergence. The switch is driven only
+     by the residual sequence, which is bitwise identical at every pool
+     size, so determinism is preserved. *)
+  let omega = ref 1.0 in
   let best = ref infinity in
   let stall = ref 0 in
   let diverging () =
@@ -218,12 +210,8 @@ let sweep cfg method_ sys pi =
     normalize ();
     incr sweeps;
     record_sweep ();
-    if !omega >= 1.0 && diverging () then begin
-      if !omega > 1.0 then begin
-        omega := 1.0 +. ((!omega -. 1.0) /. 2.0);
-        if Float.abs (!omega -. 1.0) < 0.01 then omega := 1.0
-      end
-      else omega := 0.7;
+    if !omega = 1.0 && diverging () then begin
+      omega := 0.7;
       best := infinity;
       stall := 0;
       delta := infinity
@@ -245,17 +233,19 @@ let sweep cfg method_ sys pi =
 
 (* The cost model's caps, from the crossover measured in
    doc/performance.md: a system is eliminated when its update count
-   [size * bl * bu] and its band [size * (bl + bu + 1)] floats are both
-   within them. *)
+   [size * (bl + border) * (bu + border)] and its band plus border
+   columns, [size * (bl + bu + 1 + border)] floats, are both within
+   them. *)
 let direct_max_updates = 200_000_000.0
 let direct_max_band_words = 4_194_304.0
 
-(* Lower and upper bandwidth of the generator: a transition [i -> j]
-   lies [i - j] below the diagonal when [i > j], [j - i] above it when
+(* Lower and upper bandwidth of the generator outside the border
+   columns: a transition [i -> j] into a state [j >= border] lies
+   [i - j] below the diagonal when [i > j], [j - i] above it when
    [j > i]. *)
 let bandwidths sys =
   let bl = ref 0 and bu = ref 0 in
-  for j = 0 to sys.size - 1 do
+  for j = sys.border to sys.size - 1 do
     for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
       let i = sys.in_src.(e) in
       if i - j > !bl then bl := i - j;
@@ -264,14 +254,15 @@ let bandwidths sys =
   done;
   (!bl, !bu)
 
-let within_caps ~size ~bl ~bu =
+let within_caps ~size ~border ~bl ~bu =
   let n = float_of_int size in
-  n *. float_of_int bl *. float_of_int bu <= direct_max_updates
-  && n *. float_of_int (bl + bu + 1) <= direct_max_band_words
+  n *. float_of_int (bl + border) *. float_of_int (bu + border)
+  <= direct_max_updates
+  && n *. float_of_int (bl + bu + 1 + border) <= direct_max_band_words
 
 let eliminates sys =
   let bl, bu = bandwidths sys in
-  within_caps ~size:sys.size ~bl ~bu
+  within_caps ~size:sys.size ~border:sys.border ~bl ~bu
 
 (* [max_j |update_j - pi_j|], the residual the sweeps stop on. *)
 let balance_residual sys pi =
@@ -289,25 +280,30 @@ let balance_residual sys pi =
   !m
 
 (* Grassmann-Taksar-Heyman elimination on the generator stored as a
-   (bl, bu) band: row [i] keeps columns [i - bl .. i + bu] at
-   [band.(i * w + col - i + bl)]. States are eliminated from the last
-   down; eliminating [k] adds to the entries [(i, j)] with
-   [k - bu <= i < k] and [k - bl <= j < k], which lie inside the band,
-   so there is no fill outside it and the work is at most
-   [size * bl * bu] updates. Each pivot is a sum of rates, never a
+   (bl, bu) band plus dense border columns: entry [(i, j)] lives at
+   [cols.(j * size + i)] when [j < border], and otherwise row [i] keeps
+   columns [i - bl .. i + bu] at [band.(i * w + col - i + bl)]. States
+   are eliminated from the last down; eliminating [k] adds to the
+   entries [(i, j)] with [i, j < k], [i -> k] and [k -> j]. A band
+   entry [i -> k] has [k - bu <= i], a band entry [k -> j] has
+   [k - bl <= j], so the fill lands inside the band or in a border
+   column, and the work is at most [size * bu * (bl + border)] updates
+   once [k] is past the border. Each pivot is a sum of rates, never a
    difference, so no pivoting is needed. The diagonal is never read.
    Writes the normalized vector into [pi] and returns [true]; returns
    [false] with [pi] untouched when a pivot is 0 (the system is not
    irreducible) or the vector does not normalize. *)
 let gth sys ~bl ~bu pi =
-  let n = sys.size in
+  let n = sys.size and b = sys.border in
   let w = bl + bu + 1 in
   let band = Array.make (n * w) 0.0 in
+  let cols = Array.make (b * n) 0.0 in
   for j = 0 to n - 1 do
     for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
       let i = sys.in_src.(e) in
-      let at = (i * w) + j - i + bl in
-      band.(at) <- band.(at) +. sys.in_rate.(e)
+      let at = if j < b then (j * n) + i else (i * w) + j - i + bl in
+      let store = if j < b then cols else band in
+      store.(at) <- store.(at) +. sys.in_rate.(e)
     done
   done;
   let irreducible = ref true in
@@ -315,23 +311,40 @@ let gth sys ~bl ~bu pi =
   while !irreducible && !k > 0 do
     let k_ = !k in
     let row_k = (k_ * w) - k_ + bl in
-    let lo = max 0 (k_ - bl) in
+    let lo = max b (k_ - bl) in
+    let nb_cols = min b k_ in
     let s = ref 0.0 in
+    for c = 0 to nb_cols - 1 do
+      s := !s +. cols.((c * n) + k_)
+    done;
     for j = lo to k_ - 1 do
       s := !s +. band.(row_k + j)
     done;
     if !s > 0.0 then begin
-      for i = max 0 (k_ - bu) to k_ - 1 do
-        let row_i = (i * w) - i + bl in
-        let a = band.(row_i + k_) in
+      (* scale the entry [(i, k)] held at [store.(at)] and add row [k],
+         times it, to row [i] *)
+      let eliminate i store at =
+        let a = store.(at) in
         if a <> 0.0 then begin
           let a = a /. !s in
-          band.(row_i + k_) <- a;
+          store.(at) <- a;
+          let row_i = (i * w) - i + bl in
           for j = lo to k_ - 1 do
             band.(row_i + j) <- band.(row_i + j) +. (a *. band.(row_k + j))
+          done;
+          for c = 0 to nb_cols - 1 do
+            cols.((c * n) + i) <- cols.((c * n) + i) +. (a *. cols.((c * n) + k_))
           done
         end
-      done;
+      in
+      if k_ < b then
+        for i = 0 to k_ - 1 do
+          eliminate i cols ((k_ * n) + i)
+        done
+      else
+        for i = max 0 (k_ - bu) to k_ - 1 do
+          eliminate i band ((i * w) + k_ - i + bl)
+        done;
       decr k
     end
     else irreducible := false
@@ -344,9 +357,14 @@ let gth sys ~bl ~bu pi =
     let total = ref 1.0 in
     for j = 1 to n - 1 do
       let acc = ref 0.0 in
-      for i = max 0 (j - bu) to j - 1 do
-        acc := !acc +. (x.(i) *. band.((i * w) + j - i + bl))
-      done;
+      if j < b then
+        for i = 0 to j - 1 do
+          acc := !acc +. (x.(i) *. cols.((j * n) + i))
+        done
+      else
+        for i = max 0 (j - bu) to j - 1 do
+          acc := !acc +. (x.(i) *. band.((i * w) + j - i + bl))
+        done;
       x.(j) <- !acc;
       total := !total +. !acc
     done;
@@ -361,13 +379,13 @@ let gth sys ~bl ~bu pi =
 
 let run cfg sys pi =
   match cfg.method_ with
-  | Some method_ -> sweep cfg method_ sys pi
+  | Some Gauss_seidel -> sweep cfg sys pi
   | None ->
     let bl, bu = bandwidths sys in
     Obs.set (Obs.gauge "solver.bandwidth_lower") (float_of_int bl);
     Obs.set (Obs.gauge "solver.bandwidth_upper") (float_of_int bu);
-    if not (within_caps ~size:sys.size ~bl ~bu) then
-      sweep cfg Gauss_seidel sys pi
+    if not (within_caps ~size:sys.size ~border:sys.border ~bl ~bu) then
+      sweep cfg sys pi
     else begin
       (* both counters exist once a system is eliminated, so a run's
          metrics show its fallbacks even when there are none *)
@@ -385,6 +403,6 @@ let run cfg sys pi =
            tolerance leaves the eliminated vector for the sweeps to
            finish *)
         Obs.incr fallbacks;
-        sweep cfg Gauss_seidel sys pi
+        sweep cfg sys pi
       end
     end

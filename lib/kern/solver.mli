@@ -13,44 +13,50 @@
 
     With no method forced ([config.method_ = None], the default),
     {!run} measures the system's lower and upper bandwidth [bl] and
-    [bu] and solves it {e directly} when the elimination's
-    [size * bl * bu] updates and its [size * (bl + bu + 1)]-float band
-    are both within {!direct_max_updates} and {!direct_max_band_words}.
-    Otherwise it runs [Gauss_seidel].
+    [bu] outside its [border] columns (below) and solves it
+    {e directly} when the elimination's
+    [size * (bl + border) * (bu + border)] updates and its
+    [size * (bl + bu + 1 + border)] floats are both within
+    {!direct_max_updates} and {!direct_max_band_words}. Otherwise it
+    runs [Gauss_seidel].
 
     The direct solve is Grassmann-Taksar-Heyman (GTH) elimination on
-    the band, last state first: every pivot is a sum of rates, so it
-    needs no pivoting and is as accurate as a dense LU solve. The
+    the band, last state first, with the columns of the first [border]
+    states kept dense: a state every other state may enter (the return
+    node of a renewal chain, see {!Mv_markov.Ctmc}) costs one dense
+    column instead of a band as wide as the chain, and eliminating the
+    others never fills outside the band and those columns. With
+    [border = 0] it is plain banded GTH. Every pivot is a sum of rates,
+    so it needs no pivoting and is as accurate as a dense LU solve. The
     result must pass the same residual check as the sweeps; when a
     pivot is 0 (the system is not irreducible) or the residual is above
     the tolerance, [Gauss_seidel] continues from the eliminated vector
     (from [pi] as given after a zero pivot). The choice depends only
     on the system, never on the pool.
 
-    Methods (forced with [method_ = Some m], [mval solve --method]):
-    - [Gauss_seidel]: in-place sweeps in {e colored order} — a greedy
-      multi-coloring of the transition conflict graph groups states so
-      that no state reads a same-class write, then every configuration
-      sweeps class 0 ascending, class 1 ascending, ... At [-j 1] that
-      permuted sweep runs sequentially; under a pool each class is a
-      parallel loop over disjoint slots, and the residual max and
-      normalization sums stay sequential — so the iterate sequence is
-      {e bitwise identical at any pool size}. On bipartite conflict
-      graphs (e.g. pure cycles) the colored sweep can oscillate
-      instead of contracting; a residual-stall detector then drops to
-      an under-relaxed (0.7) sweep, which is convergent — the
-      detector reads only the (pool-size-independent) residual
-      sequence, so the bitwise guarantee stands.
-    - [Sor]: the colored Gauss-Seidel sweep with over-relaxation
-      [pi_j <- (1-omega) pi_j + omega update] ([config.omega], default
-      {!default_sor_omega}). Over-relaxation is not convergent on
-      every chain; when the residual stops improving, [omega] is
-      halved back toward [1.0] and iteration continues, so [Sor]
-      degrades to Gauss-Seidel in the worst case instead of
-      oscillating forever.
+    Forcing [method_ = Some Gauss_seidel] skips the direct solve.
+    [mval solve --method gs] forces it for the steady-state solves
+    (each BSCC, and the absorption solve of a chain with several), not
+    for the passage-time renewal solve of [--time-to-first], which
+    takes no method. [Gauss_seidel] runs in-place sweeps in
+    {e colored order}: a greedy multi-coloring of the transition
+    conflict graph groups states so that no state reads a same-class
+    write, then every configuration sweeps class 0 ascending, class 1
+    ascending, ... At [-j 1] that permuted sweep runs sequentially;
+    under a pool each class is a parallel loop over disjoint slots, and
+    the residual max and normalization sums stay sequential — so the
+    iterate sequence is {e bitwise identical at any pool size}. On
+    bipartite conflict graphs (e.g. pure cycles) the colored sweep can
+    oscillate instead of contracting; a residual-stall detector then
+    drops to an under-relaxed (0.7) sweep, which is convergent — the
+    detector reads only the (pool-size-independent) residual sequence,
+    so the bitwise guarantee stands.
 
     The residual tested against [tolerance] is the unrelaxed one,
     [max_j |update_j - pi_j|], for the direct solve as for the sweeps.
+    {!Mv_markov.Ctmc} sends every Markov quantity through {!run}: the
+    stationary vector of each BSCC, and the renewal chains behind
+    passage times, accumulated rewards and absorption probabilities.
 
     Observability: per-sweep [solver.residual] series,
     [solver.iterations] counter, [solver.final_residual],
@@ -58,18 +64,19 @@
     path the [solver.direct] and [solver.direct_fallbacks] counters and
     the [solver.bandwidth_lower] / [solver.bandwidth_upper] gauges. *)
 
-type method_ = Gauss_seidel | Sor
+type method_ = Gauss_seidel
 
-val default_sor_omega : float
-
-(** Parse a [mval solve --method] name: ["gs"] (or ["gauss-seidel"]),
-    ["sor"]. *)
+(** Parse a [mval solve --method] name: ["gs"] (or ["gauss-seidel"]). *)
 val method_of_name : string -> method_ option
 
 val method_name : method_ -> string
 
 type system = {
   size : int;
+  border : int;
+      (** the first [border] states' incoming columns are stored dense
+          by the direct solve and left out of the bandwidths; [0] for a
+          plain band *)
   in_row : int array;  (** length [size + 1] *)
   in_src : int array;  (** local source index per incoming transition *)
   in_rate : float array;
@@ -80,7 +87,6 @@ type config = {
   method_ : method_ option;
       (** [None]: the direct solve when the cost model allows it,
           [Gauss_seidel] otherwise *)
-  omega : float;  (** [Sor] relaxation factor; ignored by the others *)
   tolerance : float;
   max_sweeps : int;
   pool : Mv_par.Pool.t option;
@@ -88,11 +94,10 @@ type config = {
           identical with or without it *)
 }
 
-(** [config ()] — no forced method, omega {!default_sor_omega},
-    tolerance [1e-13], max sweeps [200_000], no pool. *)
+(** [config ()] — no forced method, tolerance [1e-13], max sweeps
+    [200_000], no pool. *)
 val config :
   ?method_:method_ ->
-  ?omega:float ->
   ?tolerance:float ->
   ?max_sweeps:int ->
   ?pool:Mv_par.Pool.t ->
@@ -107,25 +112,26 @@ type outcome = { sweeps : int; residual : float; converged : bool }
     callers initialize it to a distribution). *)
 val run : config -> system -> float array -> outcome
 
-(** The largest update count, [size * bl * bu], that [run] eliminates
-    with no method forced. *)
+(** The largest update count, [size * (bl + border) * (bu + border)],
+    that [run] eliminates with no method forced. *)
 val direct_max_updates : float
 
-(** The largest band, [size * (bl + bu + 1)] floats, that [run]
-    eliminates with no method forced. *)
+(** The largest band plus border columns,
+    [size * (bl + bu + 1 + border)] floats, that [run] eliminates with
+    no method forced. *)
 val direct_max_band_words : float
 
 (**/**)
 
 (** Exposed for tests: [(bl, bu)], the largest [i - j] and [j - i]
-    over the transitions [i -> j]. *)
+    over the transitions [i -> j] into states [j >= border]. *)
 val bandwidths : system -> int * int
 
 (** Exposed for tests: whether [run] with no forced method eliminates
     [system]. *)
 val eliminates : system -> bool
 
-(** Exposed for tests: the colored order used by [Gauss_seidel]/[Sor]
+(** Exposed for tests: the colored order used by [Gauss_seidel]
     — [(order, class_start, nb_colors)]; within a class no two states
     are connected by a transition. *)
 val coloring : system -> int array * int array * int

@@ -59,16 +59,6 @@ let absorbing_states t =
   done;
   !out
 
-let embedded t =
-  let rates = exit_rates t in
-  let entries = ref [] in
-  Array.iter
-    (fun tr ->
-       if tr.src <> tr.dst then
-         entries := (tr.src, tr.dst, tr.rate /. rates.(tr.src)) :: !entries)
-    t.transitions;
-  Dtmc.make ~nb_states:t.nb_states ~initial:t.initial !entries
-
 let iter_succ t s f =
   iter_out t s (fun tr -> if tr.dst <> tr.src then f tr.dst)
 
@@ -89,18 +79,93 @@ let bsccs t =
   done;
   !out
 
-(* Stationary solve restricted to an irreducible subset:
-   pi_j = (sum_{i in subset, i<>j} pi_i q_ij) / E_j.
+(* The local system of [subset]: its states renumbered into a
+   contiguous [0 .. size-1], [roots] first in list order and then in
+   BFS order from them (following moves inside the subset), which keeps
+   the incoming-CSR accesses of neighbouring states close together and
+   the generator's band narrow, with the moves inside the subset as
+   incoming CSR and their summed rates as exit rates. [glob.(j)] is the
+   global id of local state [j]. States the BFS does not reach (a
+   subset that is not strongly connected) follow in list order. The
+   first [border] roots are the system's dense border columns. The
+   steady-state, renewal and transient solves all run on this
+   system. *)
+let local_system ?(border = 0) t ~roots subset =
+  let member = Bitset.of_list t.nb_states subset in
+  let size = List.length subset in
+  let glob = Array.make size 0 in
+  let loc = Array.make t.nb_states (-1) in
+  let visited = ref 0 in
+  let visit s =
+    if loc.(s) < 0 then begin
+      loc.(s) <- !visited;
+      glob.(!visited) <- s;
+      incr visited
+    end
+  in
+  List.iter visit roots;
+  let head = ref 0 in
+  while !head < !visited do
+    let s = glob.(!head) in
+    incr head;
+    iter_out t s (fun tr ->
+        if tr.dst <> tr.src && Bitset.mem member tr.dst then visit tr.dst)
+  done;
+  List.iter visit subset;
+  let inside tr =
+    tr.src <> tr.dst && Bitset.mem member tr.src && Bitset.mem member tr.dst
+  in
+  let in_row = Array.make (size + 1) 0 in
+  Array.iter
+    (fun tr -> if inside tr then in_row.(loc.(tr.dst) + 1) <- in_row.(loc.(tr.dst) + 1) + 1)
+    t.transitions;
+  for j = 1 to size do
+    in_row.(j) <- in_row.(j) + in_row.(j - 1)
+  done;
+  let nb_in = in_row.(size) in
+  let in_src = Array.make (max nb_in 1) 0 in
+  let in_rate = Array.make (max nb_in 1) 0.0 in
+  let exit = Array.make size 0.0 in
+  let fill = Array.copy in_row in
+  Array.iter
+    (fun tr ->
+       if inside tr then begin
+         let j = loc.(tr.dst) in
+         let i = fill.(j) in
+         in_src.(i) <- loc.(tr.src);
+         in_rate.(i) <- tr.rate;
+         fill.(j) <- i + 1;
+         exit.(loc.(tr.src)) <- exit.(loc.(tr.src)) +. tr.rate
+       end)
+    t.transitions;
+  (glob, { Solver.size; border; in_row; in_src; in_rate; exit })
 
-   The subset is renumbered into a contiguous local system in BFS
-   order from its first state (following outgoing transitions inside
-   the subset), which keeps the incoming-CSR accesses of neighbouring
-   states close together and the generator's band narrow; the solve
-   itself is Mv_kern.Solver.run, which eliminates narrow subsets and
-   sweeps the others unless [method_] forces the sweeps (any pool size
-   gives bit-identical vectors). *)
-let steady_state_on_subset t ?pool ?method_ ?(tolerance = 1e-13)
-    ?(max_iterations = 200_000) subset =
+(* The stationary vector of a local system by Mv_kern.Solver.run, which
+   eliminates narrow systems and sweeps the others unless [method_]
+   forces the sweeps (any pool size gives bit-identical vectors),
+   scattered back to the [nb_states] global ids. *)
+let solve_local ?pool ?method_ ~tolerance ~max_iterations ~nb_states
+    (glob, sys) =
+  let local = Array.make sys.Solver.size (1.0 /. float_of_int sys.size) in
+  let outcome =
+    Solver.run
+      (Solver.config ?method_ ~tolerance ~max_sweeps:max_iterations ?pool ())
+      sys local
+  in
+  let pi = Array.make nb_states 0.0 in
+  Array.iteri (fun j s -> pi.(s) <- local.(j)) glob;
+  ( pi,
+    Solver_stats.
+      {
+        iterations = outcome.Solver.sweeps;
+        residual = outcome.Solver.residual;
+        converged = outcome.Solver.converged;
+      } )
+
+(* Stationary solve restricted to an irreducible subset,
+   pi_j = (sum_{i in subset, i<>j} pi_i q_ij) / E_j, in BFS order from
+   its first state. *)
+let steady_state_on_subset t ?pool ?method_ ~tolerance ~max_iterations subset =
   match subset with
   | [] -> invalid_arg "Ctmc.steady_state_on_subset: empty"
   | [ s ] ->
@@ -108,141 +173,83 @@ let steady_state_on_subset t ?pool ?method_ ?(tolerance = 1e-13)
     pi.(s) <- 1.0;
     (pi, Solver_stats.exact)
   | first :: _ ->
-    let member = Bitset.of_list t.nb_states subset in
-    let size = List.length subset in
-    (* BFS renumbering: glob.(j) is the global id of local state j *)
-    let glob = Array.make size 0 in
-    let loc = Array.make t.nb_states (-1) in
-    let visited = ref 0 in
-    let visit s =
-      if loc.(s) < 0 then begin
-        loc.(s) <- !visited;
-        glob.(!visited) <- s;
-        incr visited
-      end
-    in
-    visit first;
-    let head = ref 0 in
-    while !head < !visited do
-      let s = glob.(!head) in
-      incr head;
-      iter_out t s (fun tr ->
-          if tr.dst <> tr.src && Bitset.mem member tr.dst then visit tr.dst)
-    done;
-    (* an irreducible subset is fully visited; sweep up the rest for
-       safety on callers that pass a non-strongly-connected subset *)
-    List.iter visit subset;
-    let inside tr =
-      tr.src <> tr.dst && Bitset.mem member tr.src && Bitset.mem member tr.dst
-    in
-    let in_row = Array.make (size + 1) 0 in
-    Array.iter
-      (fun tr -> if inside tr then in_row.(loc.(tr.dst) + 1) <- in_row.(loc.(tr.dst) + 1) + 1)
-      t.transitions;
-    for j = 1 to size do
-      in_row.(j) <- in_row.(j) + in_row.(j - 1)
-    done;
-    let nb_in = in_row.(size) in
-    let in_src = Array.make (max nb_in 1) 0 in
-    let in_rate = Array.make (max nb_in 1) 0.0 in
-    let exit = Array.make size 0.0 in
-    let fill = Array.copy in_row in
-    Array.iter
-      (fun tr ->
-         if inside tr then begin
-           let j = loc.(tr.dst) in
-           let i = fill.(j) in
-           in_src.(i) <- loc.(tr.src);
-           in_rate.(i) <- tr.rate;
-           fill.(j) <- i + 1;
-           exit.(loc.(tr.src)) <- exit.(loc.(tr.src)) +. tr.rate
-         end)
-      t.transitions;
-    let sys = { Solver.size; in_row; in_src; in_rate; exit } in
-    let local = Array.make size (1.0 /. float_of_int size) in
-    let outcome =
-      Solver.run
-        (Solver.config ?method_ ~tolerance ~max_sweeps:max_iterations ?pool ())
-        sys local
-    in
-    let iterations = outcome.Solver.sweeps in
-    let residual = outcome.Solver.residual in
-    let converged = outcome.Solver.converged in
-    let pi = Array.make t.nb_states 0.0 in
-    for j = 0 to size - 1 do
-      pi.(glob.(j)) <- local.(j)
-    done;
-    (pi, Solver_stats.{ iterations; residual; converged })
+    solve_local ?pool ?method_ ~tolerance ~max_iterations
+      ~nb_states:t.nb_states
+      (local_system t ~roots:[ first ] subset)
 
-(* Probability, from each state, of eventual absorption into a given
-   BSCC, via Gauss-Seidel on the embedded chain: a_s = sum p_ss' a_s',
-   with the caller's tolerance and sweep budget per BSCC. The stats add
-   up the sweeps over the BSCCs. *)
-let absorption_probabilities ~tolerance ~max_iterations t bscc_list =
-  let rates = exit_rates t in
+(* The renewal chain of [classes] (disjoint lists of states not holding
+   the initial state): every move into class [c] goes instead to a
+   fresh node [n + c], which returns to the initial state at rate 1,
+   and moves out of class states are dropped. Each cycle of this chain
+   is one run from the initial state to its first entry into a class,
+   plus one time unit at that class's node. Returns its stationary
+   vector on the BSCC that holds the initial state, or [None] when that
+   BSCC holds no node (from the initial state some run never enters a
+   class). By renewal-reward, node [c]'s share of the node mass is the
+   probability of entering [c] first, and [sum_s pi_s r(s) / pi_nodes]
+   is the reward [r] accumulated before the first entry. The nodes come
+   first in the local order, as the system's border: every state that
+   enters a class feeds a node, wherever it lies in the BFS order, so a
+   node's column is kept dense and the band stays the chain's own. *)
+let renewal ?pool ?method_ ~tolerance ~max_iterations t classes =
   let n = t.nb_states in
-  let in_bscc = Array.make n (-1) in
-  List.iteri (fun k members -> List.iter (fun s -> in_bscc.(s) <- k) members)
-    bscc_list;
-  let k_count = List.length bscc_list in
-  let prob = Array.make_matrix k_count n 0.0 in
-  List.iteri
-    (fun k members -> List.iter (fun s -> prob.(k).(s) <- 1.0) members)
-    bscc_list;
-  (* iterate on transient states only *)
-  let transient = ref [] in
-  for s = n - 1 downto 0 do
-    if in_bscc.(s) < 0 then transient := s :: !transient
+  let class_of = Array.make n (-1) in
+  List.iteri (fun c members -> List.iter (fun s -> class_of.(s) <- c) members)
+    classes;
+  let moves = ref [] in
+  for i = Array.length t.transitions - 1 downto 0 do
+    let tr = t.transitions.(i) in
+    if class_of.(tr.src) < 0 && tr.src <> tr.dst then
+      let dst = if class_of.(tr.dst) < 0 then tr.dst else n + class_of.(tr.dst) in
+      moves := { tr with dst } :: !moves
   done;
-  let sweep k =
-    let delta = ref 0.0 in
-    List.iter
-      (fun s ->
-         if rates.(s) > 0.0 then begin
-           let acc = ref 0.0 in
-           iter_out t s (fun tr ->
-               if tr.dst <> tr.src then
-                 acc := !acc +. (tr.rate /. rates.(s) *. prob.(k).(tr.dst)));
-           delta := max !delta (abs_float (!acc -. prob.(k).(s)));
-           prob.(k).(s) <- !acc
-         end)
-      !transient;
-    !delta
+  let returns =
+    List.mapi
+      (fun c _ -> { src = n + c; rate = 1.0; actions = []; dst = t.initial })
+      classes
   in
-  let stats = ref Solver_stats.exact in
-  if !transient <> [] then
-    for k = 0 to k_count - 1 do
-      let iteration = ref 0 in
-      let delta = ref infinity in
-      while !delta > tolerance && !iteration < max_iterations do
-        delta := sweep k;
-        incr iteration
-      done;
-      stats :=
-        Solver_stats.combine !stats
-          { iterations = !iteration; residual = !delta;
-            converged = !delta <= tolerance }
-    done;
-  Obs.add (Obs.counter "solver.iterations") !stats.iterations;
-  (prob, !stats)
+  let chain =
+    make ~nb_states:(n + List.length classes) ~initial:t.initial
+      (!moves @ returns)
+  in
+  match List.find_opt (List.mem t.initial) (bsccs chain) with
+  | Some members when List.exists (fun s -> s >= n) members ->
+    let nodes = List.filter (fun s -> s >= n) members in
+    Some
+      (solve_local ?pool ?method_ ~tolerance ~max_iterations
+         ~nb_states:chain.nb_states
+         (local_system chain ~border:(List.length nodes)
+            ~roots:(nodes @ [ t.initial ]) members))
+  | _ -> None
 
 let steady_state_stats ?pool ?method_ ?(tolerance = 1e-13)
     ?(max_iterations = 200_000) t =
   Obs.span "ctmc.steady_state" @@ fun () ->
   let bottom = bsccs t in
-  match bottom with
-  | [] -> assert false (* every finite digraph has a bottom SCC *)
-  | [ single ] ->
-    steady_state_on_subset t ?pool ?method_ ~tolerance ~max_iterations single
-  | _ ->
-    let reach, reach_stats =
-      absorption_probabilities ~tolerance ~max_iterations t bottom
+  (* with one BSCC, or a recurrent initial state, one BSCC is the
+     whole answer *)
+  let only =
+    match bottom with
+    | [ single ] -> Some single
+    | _ -> List.find_opt (List.mem t.initial) bottom
+  in
+  match only with
+  | Some members ->
+    steady_state_on_subset t ?pool ?method_ ~tolerance ~max_iterations members
+  | None ->
+    (* a finite chain enters some BSCC with probability 1, so the
+       renewal chain's BSCC holds the initial state and a node *)
+    let n = t.nb_states in
+    let visits, renewal_stats =
+      Option.get (renewal ?pool ?method_ ~tolerance ~max_iterations t bottom)
     in
-    let pi = Array.make t.nb_states 0.0 in
-    let stats = ref reach_stats in
+    let node_mass = ref 0.0 in
+    List.iteri (fun c _ -> node_mass := !node_mass +. visits.(n + c)) bottom;
+    let pi = Array.make n 0.0 in
+    let stats = ref renewal_stats in
     List.iteri
-      (fun k members ->
-         let alpha = reach.(k).(t.initial) in
+      (fun c members ->
+         let alpha = visits.(n + c) /. !node_mass in
          if alpha > 0.0 then begin
            let local, local_stats =
              steady_state_on_subset t ?pool ?method_ ~tolerance
@@ -257,114 +264,74 @@ let steady_state_stats ?pool ?method_ ?(tolerance = 1e-13)
 let steady_state ?pool ?method_ ?tolerance ?max_iterations t =
   fst (steady_state_stats ?pool ?method_ ?tolerance ?max_iterations t)
 
-let uniformization_matrix t =
-  let rates = exit_rates t in
-  let max_rate = Array.fold_left max 0.0 rates in
-  if max_rate = 0.0 then None
-  else begin
-    let lambda = max_rate *. 1.02 in
-    let entries = ref [] in
-    Array.iter
-      (fun tr ->
-         if tr.src <> tr.dst then
-           entries := (tr.src, tr.dst, tr.rate /. lambda) :: !entries)
-      t.transitions;
-    for s = 0 to t.nb_states - 1 do
-      let stay = 1.0 -. (rates.(s) /. lambda) in
-      if stay > 0.0 then entries := (s, s, stay) :: !entries
-    done;
-    Some (lambda, Sparse.of_triples ~rows:t.nb_states ~cols:t.nb_states !entries)
-  end
-
+(* Uniformization: [p_{k+1} = p_k (I + Q / lambda)], where each step
+   sums every state's stay term and inflow, over the local system's
+   incoming CSR, in that fixed order, so a pool changes which domain
+   computes a state but never its float operations. *)
 let transient ?pool ?(epsilon = 1e-10) t ~horizon =
   if horizon < 0.0 then invalid_arg "Ctmc.transient: negative horizon";
-  let point = Array.make t.nb_states 0.0 in
-  point.(t.initial) <- 1.0;
-  match uniformization_matrix t with
-  | None -> point
-  | Some (lambda, p) ->
-    if horizon = 0.0 then point
-    else begin
-      let weights = Poisson.weights ~q:(lambda *. horizon) ~epsilon in
-      let result = Array.make t.nb_states 0.0 in
-      let current = ref point in
-      for k = 0 to weights.right do
-        if k >= weights.left then begin
-          let w = weights.weights.(k - weights.left) in
-          Array.iteri
-            (fun s v -> result.(s) <- result.(s) +. (w *. v))
-            !current
-        end;
-        if k < weights.right then current := Sparse.mul_left ?pool p !current
-      done;
-      result
-    end
-
-let accumulated_reward ?(tolerance = 1e-12) ?(max_iterations = 500_000) t
-    ~reward ~targets =
   let n = t.nb_states in
-  let is_target = Bitset.of_list n targets in
-  (* backward reachability: which states can reach a target *)
-  let preds = Array.make n [] in
-  Array.iter
-    (fun tr ->
-       if tr.src <> tr.dst then preds.(tr.dst) <- tr.src :: preds.(tr.dst))
-    t.transitions;
-  let can_reach = Bitset.create n in
-  let stack = ref targets in
-  List.iter (Bitset.add can_reach) targets;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | s :: rest ->
-      stack := rest;
-      List.iter
-        (fun p ->
-           if not (Bitset.mem can_reach p) then begin
-             Bitset.add can_reach p;
-             stack := p :: !stack
-           end)
-        preds.(s)
-  done;
-  let rates = exit_rates t in
-  let hitting = Array.make n infinity in
-  List.iter (fun s -> hitting.(s) <- 0.0) targets;
-  Bitset.iter (fun s -> if not (Bitset.mem is_target s) then hitting.(s) <- 0.0)
-    can_reach;
-  (* Gauss-Seidel: h_s = 1/E_s + sum (q_sd / E_s) h_d over solvable
-     states; a state that can reach targets but has a successor that
-     cannot would make the expectation infinite, so treat any
-     transition to a non-reaching state as infinite. *)
-  let solvable s =
-    Bitset.mem can_reach s && not (Bitset.mem is_target s) && rates.(s) > 0.0
+  let point = Array.make n 0.0 in
+  point.(t.initial) <- 1.0;
+  (* BFS from the initial state: it is local state 0 *)
+  let glob, sys =
+    local_system t ~roots:[ t.initial ] (List.init n Fun.id)
   in
-  let iteration = ref 0 in
-  let delta = ref infinity in
-  while !delta > tolerance && !iteration < max_iterations do
-    delta := 0.0;
-    for s = 0 to n - 1 do
-      if solvable s then begin
-        let acc = ref (reward s /. rates.(s)) in
-        let infinite = ref false in
-        iter_out t s (fun tr ->
-            if tr.dst <> tr.src then begin
-              if Bitset.mem can_reach tr.dst then
-                acc := !acc +. (tr.rate /. rates.(s) *. hitting.(tr.dst))
-              else infinite := true
-            end);
-        let updated = if !infinite then infinity else !acc in
-        let change =
-          if updated = infinity && hitting.(s) = infinity then 0.0
-          else if updated = infinity || hitting.(s) = infinity then infinity
-          else abs_float (updated -. hitting.(s))
-        in
-        delta := max !delta change;
-        hitting.(s) <- updated
+  let max_rate = Array.fold_left max 0.0 sys.exit in
+  if max_rate = 0.0 || horizon = 0.0 then point
+  else begin
+    let lambda = max_rate *. 1.02 in
+    let jump = Array.map (fun rate -> rate /. lambda) sys.in_rate in
+    let stay = Array.map (fun rate -> 1.0 -. (rate /. lambda)) sys.exit in
+    let weights = Poisson.weights ~q:(lambda *. horizon) ~epsilon in
+    let current = ref (Array.make n 0.0) in
+    let next = ref (Array.make n 0.0) in
+    !current.(0) <- 1.0;
+    let step j =
+      let p = !current in
+      let acc = ref (stay.(j) *. p.(j)) in
+      for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+        acc := !acc +. (p.(sys.in_src.(e)) *. jump.(e))
+      done;
+      !next.(j) <- !acc
+    in
+    let result = Array.make n 0.0 in
+    for k = 0 to weights.right do
+      if k >= weights.left then begin
+        let w = weights.weights.(k - weights.left) in
+        Array.iteri (fun j v -> result.(j) <- result.(j) +. (w *. v)) !current
+      end;
+      if k < weights.right then begin
+        (match pool with
+         | Some pool when Mv_par.Pool.size pool > 1 && n > 64 ->
+           Mv_par.Pool.for_ ~pool ~lo:0 ~hi:n step
+         | _ ->
+           for j = 0 to n - 1 do
+             step j
+           done);
+        let p = !current in
+        current := !next;
+        next := p
       end
     done;
-    incr iteration
-  done;
-  hitting
+    let dist = Array.make n 0.0 in
+    Array.iteri (fun j s -> dist.(s) <- result.(j)) glob;
+    dist
+  end
+
+let accumulated_reward ?(tolerance = 1e-13) ?(max_iterations = 200_000) t
+    ~reward ~targets =
+  if List.mem t.initial targets then (0.0, Solver_stats.exact)
+  else
+    match renewal ~tolerance ~max_iterations t [ targets ] with
+    | None -> (infinity, Solver_stats.exact)
+    | Some (visits, stats) ->
+      let n = t.nb_states in
+      let total = ref 0.0 in
+      for s = 0 to n - 1 do
+        if visits.(s) > 0.0 then total := !total +. (visits.(s) *. reward s)
+      done;
+      (!total /. visits.(n), stats)
 
 let mean_first_passage ?tolerance ?max_iterations t ~targets =
   accumulated_reward ?tolerance ?max_iterations t ~reward:(fun _ -> 1.0)

@@ -37,9 +37,6 @@ val exit_rates : t -> float array
 (** States with no outgoing non-self transition. *)
 val absorbing_states : t -> int list
 
-(** Embedded jump chain (absorbing states get a self-loop). *)
-val embedded : t -> Dtmc.t
-
 (** {1 Bottom strongly connected components} *)
 
 (** [bsccs t] lists the BSCCs of the underlying digraph (self-loops
@@ -48,25 +45,30 @@ val bsccs : t -> int list list
 
 (** {1 Steady-state analysis}
 
+    Every quantity below is one or more stationary solves by
+    {!Mv_kern.Solver.run}, each on a contiguous CSR system of one
+    irreducible subset, renumbered in BFS order. By default a subset
+    whose band is narrow enough in that order is solved directly
+    (banded GTH elimination) and any other by colored Gauss-Seidel;
+    [method_] forces the sweeps. The choice does not depend on the
+    [pool]: a pool of size [> 1] runs the colored sweeps in parallel,
+    and every method gives bit-identical vectors at any pool size.
+
     General chains are handled by BSCC decomposition: the steady-state
     vector is the mixture of per-BSCC stationary distributions weighted
     by the probability of absorption into each BSCC from the initial
-    state.
-
-    Each BSCC is renumbered in BFS order into a contiguous CSR system
-    and solved by {!Mv_kern.Solver.run}. By default a BSCC whose band
-    is narrow enough in that order is solved directly (banded GTH
-    elimination) and any other by colored Gauss-Seidel; [method_]
-    forces the sweeps: [Gauss_seidel] or [Sor]. The choice does not
-    depend on the [pool]: a pool of size [> 1] runs the colored sweeps
-    in parallel, and every method gives bit-identical vectors at any
-    pool size.
-
-    With several BSCCs, the probability of absorption into each is
-    computed by Gauss-Seidel sweeps on the embedded chain, under the
-    same [tolerance] and [max_iterations] (per BSCC). Their sweeps,
-    residual and convergence are part of the returned
-    {!Solver_stats.t}. *)
+    state. With several BSCCs and a transient initial state, those
+    probabilities come from one stationary solve of a {e renewal
+    chain}: every move into BSCC [c] goes instead to a fresh node that
+    returns to the initial state at rate 1, and node [c]'s share of the
+    node mass is the probability of entering [c] first. The nodes are
+    the solver system's border columns ({!Mv_kern.Solver.system}): the
+    states that enter a BSCC may lie anywhere in the BFS order, and a
+    node kept in the band would make it as wide as the chain, so the
+    renewal chain is as narrow as the chain's own transient part. Its
+    iterations, residual and convergence are part of the returned
+    {!Solver_stats.t}, under the same [tolerance], [max_iterations]
+    and [method_]. *)
 
 val steady_state :
   ?pool:Mv_par.Pool.t ->
@@ -90,20 +92,39 @@ val steady_state_stats :
 
 (** [transient t ~horizon] is the state distribution at time [horizon],
     by uniformization. [epsilon] bounds the truncation error (default
-    [1e-10]). Under [pool] the per-step products run in parallel and
-    are bit-identical to the sequential ones (see
-    {!Sparse.mul_left}). *)
+    [1e-10]). Each step sums every state's inflow in a fixed order, so
+    under [pool] the steps run in parallel and are bit-identical to the
+    sequential ones. *)
 val transient :
   ?pool:Mv_par.Pool.t -> ?epsilon:float -> t -> horizon:float -> float array
 
-(** {1 First-passage analysis} *)
+(** {1 First-passage analysis}
 
-(** [mean_first_passage t ~targets] gives, for every state, the
-    expected time to first reach [targets] (list of states). States
-    that cannot reach the targets get [infinity]; target states get
-    [0]. *)
+    Passage times and accumulated rewards come from the same renewal
+    chain as the absorption probabilities, with the targets as its one
+    class: the expected time (reward) before the first entry is
+    [sum_s pi_s r(s) / pi_node] over its stationary vector [pi]. The
+    answer is [infinity] when, from the initial state, some run never
+    reaches a target (that chain's BSCC holding the initial state has
+    no node). With the node as a border column, the renewal chain is
+    eliminated exactly whenever the chain's non-target part is narrow
+    in BFS order from the initial state, however many of its states
+    enter a target; a wider one gets the sweeps' residual check,
+    [max_iterations] budget and convergence flag, reported in the
+    returned {!Solver_stats.t}. Neither function takes a [method_], so
+    [mval solve --method gs] does not force the sweeps here. Both
+    answer from the initial state. *)
+
+(** [mean_first_passage t ~targets] is the expected time to first
+    reach [targets] (list of states) from the initial state: [0] when
+    it is a target, [infinity] when the targets may never be reached.
+    [tolerance] defaults to [1e-13], [max_iterations] to [200_000]. *)
 val mean_first_passage :
-  ?tolerance:float -> ?max_iterations:int -> t -> targets:int list -> float array
+  ?tolerance:float ->
+  ?max_iterations:int ->
+  t ->
+  targets:int list ->
+  float * Solver_stats.t
 
 (** [reach_probability_by t ~targets ~horizon] is the probability of
     having entered [targets] by time [horizon], starting from the
@@ -111,10 +132,10 @@ val mean_first_passage :
 val reach_probability_by :
   ?epsilon:float -> t -> targets:int list -> horizon:float -> float
 
-(** [accumulated_reward t ~reward ~targets] gives, for every state,
-    the expected reward accumulated at rate [reward s] per time unit
-    until first reaching [targets] ([infinity] when the targets may
-    never be reached). [mean_first_passage] is the special case
+(** [accumulated_reward t ~reward ~targets] is the expected reward
+    accumulated at rate [reward s] per time unit, from the initial
+    state until first reaching [targets] ([infinity] when the targets
+    may never be reached). [mean_first_passage] is the special case
     [reward = fun _ -> 1.0]. *)
 val accumulated_reward :
   ?tolerance:float ->
@@ -122,7 +143,7 @@ val accumulated_reward :
   t ->
   reward:(int -> float) ->
   targets:int list ->
-  float array
+  float * Solver_stats.t
 
 (** {1 Rewards and throughputs} *)
 

@@ -1,11 +1,12 @@
-(** Outcome of an iterative solve.
+(** Outcome of a Markov solve.
 
-    Every iterative Markov solver returns one of these next to its
-    vector instead of discarding the information: how many sweeps ran,
-    the final residual (max component change of the last sweep), and
-    whether the stopping tolerance was reached before the iteration
-    budget ran out. Callers such as [mval solve] use [converged] to
-    warn rather than silently print a stale vector. *)
+    Every Markov solve returns one of these next to its vector or
+    passage time instead of discarding the information: how many sweeps
+    ran (0 for a direct elimination), the final residual (max component
+    change of the last sweep), and whether the stopping tolerance was
+    reached before the iteration budget ran out. Callers such as
+    [mval solve] use [converged] to warn rather than silently print a
+    stale result. *)
 
 type t = {
   iterations : int;

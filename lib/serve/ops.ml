@@ -161,22 +161,24 @@ let solve_texts config ~first spec =
        Buffer.add_string buffer
          (Printf.sprintf "throughput %-20s %.6g\n" action value))
     (Flow.throughputs perf);
-  let stats = Flow.solver_stats perf in
-  let err =
-    if not stats.Mv_markov.Solver_stats.converged then
+  let warning solve (stats : Mv_markov.Solver_stats.t) =
+    if stats.converged then ""
+    else
       Printf.sprintf
-        "warning: steady-state solve did NOT converge (%d iteration(s), \
-         residual %.3g); the reported measures may be inaccurate\n"
-        stats.Mv_markov.Solver_stats.iterations
-        stats.Mv_markov.Solver_stats.residual
-    else ""
+        "warning: %s solve did NOT converge (%d iteration(s), residual \
+         %.3g); the reported measures may be inaccurate\n"
+        solve stats.iterations stats.residual
   in
-  (match first with
-   | None -> ()
-   | Some gate ->
-     Buffer.add_string buffer
-       (Printf.sprintf "mean time to first %-9s %.6g\n" gate
-          (Flow.time_to_first perf ~gate)));
+  let err = warning "steady-state" (Flow.solver_stats perf) in
+  let err =
+    match first with
+    | None -> err
+    | Some gate ->
+      let time, stats = Flow.time_to_first perf ~gate in
+      Buffer.add_string buffer
+        (Printf.sprintf "mean time to first %-9s %.6g\n" gate time);
+      err ^ warning (Printf.sprintf "passage-time (%s)" gate) stats
+  in
   { out = Buffer.contents buffer; err; code = 0 }
 
 let script_texts ?cache ?dir ~json script =
@@ -470,7 +472,7 @@ let run_solve config args =
       match Mv_kern.Solver.method_of_name name with
       | Some m -> Some m
       | None ->
-        bad "unknown solve method %S (expected gs, gauss-seidel or sor)" name)
+        bad "unknown solve method %S (expected gs or gauss-seidel)" name)
   in
   let config =
     {

@@ -88,10 +88,12 @@ let test_time_to_first () =
   let arrival = 2.0 and service = 5.0 in
   let spec = Flow.model_of_text (mm1_text ~arrival ~service ~capacity:2) in
   let perf = Flow.Run.performance (keep [ "pop" ]) spec in
-  close ~eps:1e-8 "mean time to first pop" (1.0 /. arrival)
-    (Flow.time_to_first perf ~gate:"pop");
+  let time, stats = Flow.time_to_first perf ~gate:"pop" in
+  close ~eps:1e-8 "mean time to first pop" (1.0 /. arrival) time;
+  Alcotest.(check bool) "passage solve converged" true
+    stats.Mv_markov.Solver_stats.converged;
   Alcotest.(check bool) "absent gate never occurs" true
-    (Flow.time_to_first perf ~gate:"no_such_gate" = infinity);
+    (fst (Flow.time_to_first perf ~gate:"no_such_gate") = infinity);
   let p_small = Flow.probability_by perf ~gate:"pop" ~horizon:0.01 in
   let p_large = Flow.probability_by perf ~gate:"pop" ~horizon:100.0 in
   Alcotest.(check bool) "cdf monotone" true (p_small < p_large);

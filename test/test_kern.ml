@@ -381,20 +381,19 @@ let max_abs_diff a b =
   !m
 
 let solver_methods_agree_prop =
-  QCheck2.Test.make ~name:"solver: gs, sor and direct give the same vector"
+  QCheck2.Test.make ~name:"solver: gs and direct give the same vector"
     ~count:60 ctmc_gen
     (fun ctmc ->
-       let solve m = Ctmc.steady_state ~method_:m ctmc in
-       let gs = solve Solver.Gauss_seidel in
-       let sor = solve Solver.Sor in
+       let gs = Ctmc.steady_state ~method_:Solver.Gauss_seidel ctmc in
        let direct = Ctmc.steady_state ctmc in
-       max_abs_diff gs sor < 1e-9 && max_abs_diff gs direct < 1e-9)
+       max_abs_diff gs direct < 1e-9)
 
 (* A cycle system 0 -> 1 -> ... -> n-1 -> 0, all rates 1: steady
    state is uniform, and the conflict graph is the cycle itself. *)
 let cycle_system n =
   {
     Solver.size = n;
+    border = 0;
     in_row = Array.init (n + 1) Fun.id;
     in_src = Array.init n (fun j -> (j + n - 1) mod n);
     in_rate = Array.make n 1.0;
@@ -424,13 +423,6 @@ let test_solver_run_config () =
        Alcotest.(check bool) "uniform steady state" true
          (Float.abs (x -. 0.2) < 1e-9))
     pi;
-  (* Sor with a forced non-convergent omega must still converge via
-     the stall fallback *)
-  let pi = Array.make n (1.0 /. float_of_int n) in
-  let outcome =
-    Solver.run (Solver.config ~method_:Solver.Sor ~omega:1.9 ()) sys pi
-  in
-  Alcotest.(check bool) "sor converged" true outcome.Solver.converged;
   (* the default eliminates a system this small: no sweeps *)
   let pi = Array.make n (1.0 /. float_of_int n) in
   let outcome = Solver.run (Solver.config ~tolerance:1e-12 ()) sys pi in
@@ -442,25 +434,32 @@ let test_solver_run_config () =
          (Float.abs (x -. 0.2) < 1e-15))
     pi
 
-(* Birth-death system over [n] states: [j] is fed by [j - 1] at rate 1
-   and by [j + 1] at rate 2, so both bandwidths are 1. *)
-let birth_death_system n =
-  let feeders j =
-    (if j > 0 then [ (j - 1, 1.0) ] else []) @ if j < n - 1 then [ (j + 1, 2.0) ] else []
-  in
-  let incoming = Array.init n feeders in
+(* The system of [n] states with incoming lists [incoming.(j)] of
+   [(source, rate)] pairs, its first [border] states as border
+   columns. *)
+let system_of_incoming ~border incoming =
+  let n = Array.length incoming in
   let in_row = Array.make (n + 1) 0 in
   Array.iteri (fun j ins -> in_row.(j + 1) <- in_row.(j) + List.length ins) incoming;
   let flat = List.concat (Array.to_list incoming) in
+  let exit = Array.make n 0.0 in
+  List.iter (fun (i, r) -> exit.(i) <- exit.(i) +. r) flat;
   {
     Solver.size = n;
+    border;
     in_row;
     in_src = Array.of_list (List.map fst flat);
     in_rate = Array.of_list (List.map snd flat);
-    exit =
-      Array.init n (fun j ->
-          (if j > 0 then 2.0 else 0.0) +. if j < n - 1 then 1.0 else 0.0);
+    exit;
   }
+
+(* Birth-death system over [n] states: [j] is fed by [j - 1] at rate 1
+   and by [j + 1] at rate 2, so both bandwidths are 1. *)
+let birth_death_system n =
+  system_of_incoming ~border:0
+    (Array.init n (fun j ->
+         (if j > 0 then [ (j - 1, 1.0) ] else [])
+         @ if j < n - 1 then [ (j + 1, 2.0) ] else []))
 
 (* Run [f] with fresh, enabled telemetry; return its result and the
    value of each named counter afterwards. *)
@@ -525,6 +524,7 @@ let test_direct_zero_pivot_fallback () =
   let sys =
     {
       Solver.size = 3;
+      border = 0;
       (* 0 <-> 1 at rate 1, 0 -> 2 at rate 1, nothing out of 2 *)
       in_row = [| 0; 1; 2; 3 |];
       in_src = [| 1; 0; 0 |];
@@ -571,6 +571,85 @@ let test_direct_residual_fallback () =
   Alcotest.(check bool) "three sweeps from uniform are far off" true
     (max_abs_diff uniform exact > 1e-3)
 
+(* A hub at state 0, fed by each of the other [n] states at rate 1 and
+   feeding state 1, beside a birth-death chain on 1..n (up 1, down 2):
+   a renewal chain's shape. As a border column the hub leaves the band
+   1 wide; as a band column it makes the band as wide as the system. *)
+let test_direct_border () =
+  let n = 3_000 in
+  let incoming =
+    Array.init (n + 1) (fun j ->
+        if j = 0 then List.init n (fun i -> (i + 1, 1.0))
+        else
+          (if j = 1 then [ (0, 1.0) ] else [ (j - 1, 1.0) ])
+          @ if j < n then [ (j + 1, 2.0) ] else [])
+  in
+  let banded = system_of_incoming ~border:0 incoming in
+  let bordered = system_of_incoming ~border:1 incoming in
+  Alcotest.(check (pair int int)) "hub in the band" (n, 1)
+    (Solver.bandwidths banded);
+  Alcotest.(check (pair int int)) "hub as a border column" (1, 1)
+    (Solver.bandwidths bordered);
+  Alcotest.(check bool) "banded: beyond the caps" false (Solver.eliminates banded);
+  Alcotest.(check bool) "bordered: eliminated" true (Solver.eliminates bordered);
+  let direct = Array.make (n + 1) (1.0 /. float_of_int (n + 1)) in
+  let outcome, counts =
+    with_counters direct_counters (fun () ->
+        Solver.run (Solver.config ()) bordered direct)
+  in
+  Alcotest.(check int) "no sweeps" 0 outcome.Solver.sweeps;
+  Alcotest.(check (list int)) "eliminated, no fallback" [ 1; 0 ] counts;
+  let swept = Array.make (n + 1) (1.0 /. float_of_int (n + 1)) in
+  let outcome =
+    Solver.run (Solver.config ~method_:Solver.Gauss_seidel ()) banded swept
+  in
+  Alcotest.(check bool) "sweeps converged" true outcome.Solver.converged;
+  Alcotest.(check bool) "same vector" true (max_abs_diff direct swept < 1e-12)
+
+(* Property: the elimination with the first [b] states as border
+   columns gives the vector of the plain banded elimination within
+   1e-12 relative, on random irreducible systems (a ring 0 -> 1 -> ...
+   -> n-1 -> 0 plus random chords, rates log-uniform over 1e-6..1e3). *)
+let direct_border_prop =
+  let gen =
+    QCheck2.Gen.(
+      let rate = map (fun e -> 10.0 ** e) (float_range (-6.0) 3.0) in
+      let* n = int_range 2 30 in
+      let* border = int_bound (min 3 (n - 1)) in
+      let* ring = list_repeat n rate in
+      let* chords =
+        list_size (int_bound (2 * n))
+          (triple (int_bound (n - 1)) (int_bound (n - 1)) rate)
+      in
+      return (n, border, ring, chords))
+  in
+  let print (n, border, ring, chords) =
+    Printf.sprintf "n=%d border=%d ring=[%s] chords=[%s]" n border
+      (String.concat "; " (List.map (Printf.sprintf "%h") ring))
+      (String.concat "; "
+         (List.map (fun (s, d, r) -> Printf.sprintf "%d->%d %h" s d r) chords))
+  in
+  QCheck2.Test.make ~name:"solver: border columns = plain band within 1e-12"
+    ~count:200 ~print gen
+    (fun (n, border, ring, chords) ->
+       let incoming = Array.make n [] in
+       let add s d r = if s <> d then incoming.(d) <- (s, r) :: incoming.(d) in
+       List.iteri (fun i r -> add i ((i + 1) mod n) r) ring;
+       List.iter (fun (s, d, r) -> add s d r) chords;
+       let solve border =
+         let pi = Array.make n (1.0 /. float_of_int n) in
+         let outcome =
+           Solver.run (Solver.config ()) (system_of_incoming ~border incoming) pi
+         in
+         (pi, outcome.Solver.sweeps = 0 && outcome.Solver.converged)
+       in
+       let plain, plain_ok = solve 0 in
+       let bordered, bordered_ok = solve border in
+       plain_ok && bordered_ok
+       && Array.for_all2
+            (fun a b -> abs_float (a -. b) <= 1e-12 *. Float.max a b)
+            plain bordered)
+
 let test_coloring_valid () =
   let n = 6 in
   let sys = cycle_system n in
@@ -602,23 +681,22 @@ let test_sweeps_allocation_free () =
   Mv_obs.Obs.reset ();
   let n = 2000 in
   let sys = birth_death_system n in
-  List.iter
-    (fun method_ ->
-       let run sweeps =
-         let pi = Array.make n (1.0 /. float_of_int n) in
-         let cfg = Solver.config ~method_ ~tolerance:0.0 ~max_sweeps:sweeps () in
-         let before = Gc.minor_words () in
-         let outcome = Solver.run cfg sys pi in
-         (Gc.minor_words () -. before, outcome.Solver.sweeps)
-       in
-       let w1, s1 = run 50 in
-       let w2, s2 = run 250 in
-       let per_sweep = (w2 -. w1) /. float_of_int (s2 - s1) in
-       Alcotest.(check bool)
-         (Printf.sprintf "%s: %.1f minor words per sweep over %d states"
-            (Solver.method_name method_) per_sweep n)
-         true (per_sweep < 32.0))
-    [ Solver.Gauss_seidel; Solver.Sor ]
+  let run sweeps =
+    let pi = Array.make n (1.0 /. float_of_int n) in
+    let cfg =
+      Solver.config ~method_:Solver.Gauss_seidel ~tolerance:0.0
+        ~max_sweeps:sweeps ()
+    in
+    let before = Gc.minor_words () in
+    let outcome = Solver.run cfg sys pi in
+    (Gc.minor_words () -. before, outcome.Solver.sweeps)
+  in
+  let w1, s1 = run 50 in
+  let w2, s2 = run 250 in
+  let per_sweep = (w2 -. w1) /. float_of_int (s2 - s1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "gs: %.1f minor words per sweep over %d states" per_sweep n)
+    true (per_sweep < 32.0)
 
 (* ---- the parallel engines vs -j1, above their thresholds ---- *)
 
@@ -692,7 +770,7 @@ let test_solver_method_names () =
       ("jacobi", None);
       ("gs", Some "gs");
       ("gauss-seidel", Some "gs");
-      ("sor", Some "sor");
+      ("sor", None);
       ("newton", None);
     ]
 
@@ -725,6 +803,9 @@ let suite =
       test_direct_zero_pivot_fallback;
     Alcotest.test_case "solver: residual fallback continues the sweeps" `Quick
       test_direct_residual_fallback;
+    Alcotest.test_case "solver: a border column keeps a hub out of the band"
+      `Quick test_direct_border;
+    QCheck_alcotest.to_alcotest direct_border_prop;
     Alcotest.test_case "coloring is a valid conflict coloring" `Quick
       test_coloring_valid;
     Alcotest.test_case "solver sweeps allocate nothing per state" `Quick
