@@ -30,12 +30,12 @@ let read_file path =
 
 (* Load an LTS from an .aut or .mvb file, or by generating an MVL
    model (memoized through the cache when one is given). *)
-let load_lts ?pool ?max_states ?cache ?budget ?expect path =
+let load_lts ?max_states ?cache ?budget ?expect path =
   if Filename.check_suffix path ".aut" then Aut.of_string (read_file path)
   else if Filename.check_suffix path ".mvb" then Mvb.read_file path
   else
     Flow.Run.generate
-      { Flow.Config.default with pool; max_states; cache; budget; expect }
+      { Flow.Config.default with max_states; cache; budget; expect }
       (Flow.model_of_text (read_file path))
 
 (* Run [f] with the pool requested by -j: none for -j 1 (fully
@@ -332,10 +332,10 @@ let jobs_arg =
     & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel phases (generation, \
-           refinement, solving): $(b,1) is fully sequential (default), \
-           $(b,0) uses one domain per core. The output is identical \
-           for every N.")
+          "Worker domains for the parallel phases (refinement, \
+           solving, simulation; generation is sequential): $(b,1) is \
+           fully sequential (default), $(b,0) uses one domain per \
+           core. The output is identical for every N.")
 
 let no_lint_arg =
   Arg.(
@@ -432,7 +432,7 @@ let mem_budget_arg =
         ~doc:
           "RAM target in MiB for $(b,--out-of-core): half funds the \
            hot (in-RAM) part of the seen set, the rest covers the \
-           bloom filter and the current frontier (default: 128 MiB \
+           bloom filter and the current frontier (default: 64 MiB \
            hot).")
 
 let scratch_arg =
@@ -482,7 +482,7 @@ let plan_arg =
 (* ---- generate ---- *)
 
 let generate_cmd =
-  let run () model output max_states hide jobs no_lint cache remote budget ooc
+  let run () model output max_states hide no_lint cache remote budget ooc
       mem_budget scratch expect compositional plan =
     handle_errors (fun () ->
         lint_gate ~no_lint [ model ];
@@ -501,66 +501,60 @@ let generate_cmd =
           remote_write_lts output result
         | None ->
           let cache = open_cache cache in
-          with_jobs jobs (fun pool ->
-              let config =
-                { Flow.Config.default with
-                  pool;
-                  max_states = Some max_states;
-                  cache;
-                  budget = local_budget budget;
-                  mem_budget_mb = mem_budget;
-                  scratch_dir = scratch;
-                  expect;
-                  compose_plan = plan;
-                }
-              in
-              if ooc then begin
-                let out =
-                  match output with
-                  | Some path when Filename.check_suffix path ".mvb" -> path
-                  | _ ->
-                    prerr_endline "--out-of-core needs -o FILE.mvb";
-                    exit 2
-                in
-                if hide <> [] || compositional then begin
-                  prerr_endline
-                    "--out-of-core generation streams the plain state \
-                     space; it cannot be combined with --hide or \
-                     --compositional";
-                  exit 2
-                end;
-                let spec = Flow.model_of_text (read_file model) in
-                let o = Flow.Run.generate_mvb config spec ~out in
-                Printf.printf "wrote %s (%d states, %d transitions)\n" out
-                  o.Mv_lts.Explore.ooc_states o.Mv_lts.Explore.ooc_transitions
-              end
-              else if compositional then begin
-                let spec = Flow.model_of_text (read_file model) in
-                let report = Flow.Run.generate_compositional config spec in
-                Printf.eprintf "compositional: %d steps, peak %d states\n"
-                  (List.length report.Mv_compose.Net.steps)
-                  report.Mv_compose.Net.peak_states;
-                let lts = report.Mv_compose.Net.result in
-                let lts =
-                  if hide = [] then lts else Lts.hide lts ~gates:hide
-                in
-                write_lts output lts
-              end
-              else
-                let lts =
-                  load_lts ?pool ~max_states ?cache
-                    ?budget:(local_budget budget) ?expect model
-                in
-                let lts =
-                  if hide = [] then lts else Lts.hide lts ~gates:hide
-                in
-                write_lts output lts))
+          let config =
+            { Flow.Config.default with
+              max_states = Some max_states;
+              cache;
+              budget = local_budget budget;
+              mem_budget_mb = mem_budget;
+              scratch_dir = scratch;
+              expect;
+              compose_plan = plan;
+            }
+          in
+          if ooc then begin
+            let out =
+              match output with
+              | Some path when Filename.check_suffix path ".mvb" -> path
+              | _ ->
+                prerr_endline "--out-of-core needs -o FILE.mvb";
+                exit 2
+            in
+            if hide <> [] || compositional then begin
+              prerr_endline
+                "--out-of-core generation streams the plain state \
+                 space; it cannot be combined with --hide or \
+                 --compositional";
+              exit 2
+            end;
+            let spec = Flow.model_of_text (read_file model) in
+            let o = Flow.Run.generate_mvb config spec ~out in
+            Printf.printf "wrote %s (%d states, %d transitions)\n" out
+              o.Mv_lts.Explore.ooc_states o.Mv_lts.Explore.ooc_transitions
+          end
+          else if compositional then begin
+            let spec = Flow.model_of_text (read_file model) in
+            let report = Flow.Run.generate_compositional config spec in
+            Printf.eprintf "compositional: %d steps, peak %d states\n"
+              (List.length report.Mv_compose.Net.steps)
+              report.Mv_compose.Net.peak_states;
+            let lts = report.Mv_compose.Net.result in
+            let lts = if hide = [] then lts else Lts.hide lts ~gates:hide in
+            write_lts output lts
+          end
+          else
+            let lts =
+              load_lts ~max_states ?cache ?budget:(local_budget budget)
+                ?expect model
+            in
+            let lts = if hide = [] then lts else Lts.hide lts ~gates:hide in
+            write_lts output lts)
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate the state space of an MVL model")
     Term.(
       const run $ obs_term $ model_arg $ output_arg $ max_states_arg $ hide_arg
-      $ jobs_arg $ no_lint_arg $ cache_arg $ remote_arg $ budget_term $ ooc_arg
+      $ no_lint_arg $ cache_arg $ remote_arg $ budget_term $ ooc_arg
       $ mem_budget_arg $ scratch_arg $ expect_arg $ compositional_arg
       $ plan_arg)
 
@@ -630,7 +624,7 @@ let minimize_cmd =
               end
               else
                 let lts =
-                  load_lts ?pool ~max_states ?cache ?budget ?expect model
+                  load_lts ~max_states ?cache ?budget ?expect model
                 in
                 let lts =
                   if hide = [] then lts else Lts.hide lts ~gates:hide
@@ -680,8 +674,8 @@ let compare_cmd =
           let cache = open_cache cache in
           with_jobs jobs (fun pool ->
               let budget = local_budget budget in
-              let la = load_lts ?pool ~max_states ?cache ?budget a
-              and lb = load_lts ?pool ~max_states ?cache ?budget b in
+              let la = load_lts ~max_states ?cache ?budget a
+              and lb = load_lts ~max_states ?cache ?budget b in
               print_texts
                 (Ops.compare_texts
                    { Flow.Config.default with pool; budget }
@@ -1032,7 +1026,7 @@ let simulate_cmd =
               exit 2
           in
           with_jobs jobs (fun pool ->
-              let lts = load_lts ?pool ~max_states model in
+              let lts = load_lts ~max_states model in
               let imc = Mv_imc.Imc.of_lts lts in
               let stats =
                 Mv_sim.Des.throughput_stats ?pool imc ~action ~horizon

@@ -158,8 +158,9 @@ let divergence_closure collapsed divergent =
   done;
   delta
 
-let partition ?pool ?(divergence_sensitive = false) lts =
-  let collapsed, component, divergent = collapse lts in
+(* the partition of [lts], refined over its tau-SCC collapse *)
+let partition_collapsed ?pool ~divergence_sensitive lts
+    (collapsed, component, divergent) =
   let p =
     if divergence_sensitive then
       refine ?pool ~divergent:(divergence_closure collapsed divergent) collapsed
@@ -172,15 +173,18 @@ let partition ?pool ?(divergence_sensitive = false) lts =
     count = p.Partition.count;
   }
 
+let partition ?pool ?(divergence_sensitive = false) lts =
+  partition_collapsed ?pool ~divergence_sensitive lts (collapse lts)
+
 let minimize ?pool ?(divergence_sensitive = false) lts =
-  let p = partition ?pool ~divergence_sensitive lts in
+  let ((_, component, divergent) as collapsed) = collapse lts in
+  let p = partition_collapsed ?pool ~divergence_sensitive lts collapsed in
   let quotient = Quotient.weak lts p in
   let quotient =
     if not divergence_sensitive then quotient
     else begin
       (* restore a tau self-loop on every block containing a divergent
          original state (inert taus inside a tau-SCC were dropped) *)
-      let _, component, divergent = collapse lts in
       let needs_loop = Hashtbl.create 8 in
       Array.iteri
         (fun s c ->

@@ -57,8 +57,6 @@ type term = {
   hash : int;
   behavior : Ast.behavior; (* the normalized behaviour [shape] stands for *)
   mutable explored : explored;
-      (* replaced as a whole, so a domain that reads it sees a complete
-         entry *)
 }
 
 and shape =
@@ -138,38 +136,27 @@ module Hashed = struct
   let hash t = t.hash
 end
 
-module Local = Hashtbl.Make (Hashed)
-module Shared = Mv_par.Shard_set.Make (Hashed)
+module Terms = Hashtbl.Make (Hashed)
 
-type store = Local of term Local.t | Shared of Shared.t
-
-type table = { spec : Ast.spec; store : store; stop : term }
+type table = { spec : Ast.spec; terms : term Terms.t; stop : term }
 
 (* the entry of a term whose moves were never derived *)
 let unexplored = { depth = -1; moves = [] }
 
-let intern_hashed store hash shape behavior =
+let intern_hashed terms hash shape behavior =
   let t = { shape; hash; behavior; explored = unexplored } in
-  match store with
-  | Local terms -> (
-      match Local.find_opt terms t with
-      | Some canonical -> canonical
-      | None ->
-        Local.add terms t t;
-        t)
-  | Shared terms ->
-    let id, fresh = Shared.add terms t in
-    if fresh then t else Shared.get terms id
+  match Terms.find_opt terms t with
+  | Some canonical -> canonical
+  | None ->
+    Terms.add terms t t;
+    t
 
-let intern_shape store shape behavior =
-  intern_hashed store (hash_shape shape) shape behavior
+let intern_shape terms shape behavior =
+  intern_hashed terms (hash_shape shape) shape behavior
 
-let table ?(concurrent = false) ?(expect = 1024) spec =
-  let store =
-    if concurrent then Shared (Shared.create ~buckets:(max 1024 (expect / 64)) ())
-    else Local (Local.create (max 16 expect))
-  in
-  { spec; store; stop = intern_shape store Stop Ast.Stop }
+let table ?(expect = 1024) spec =
+  let terms = Terms.create (max 16 expect) in
+  { spec; terms; stop = intern_shape terms Stop Ast.Stop }
 
 let hash t = t.hash
 let behavior t = t.behavior
@@ -192,7 +179,7 @@ let rec of_normal table b =
     | Ast.Call (p, gs, args) -> Call (p, gs, args)
     | Ast.At _ -> assert false
   in
-  intern_shape table.store shape b
+  intern_shape table.terms shape b
 
 let intern table b = of_normal table (Ast.normalize b)
 
@@ -229,7 +216,7 @@ let rec explore table ~fuel t =
 
 and derive table ~fuel t =
   let recur = explore table ~fuel in
-  let make hash shape behavior = intern_hashed table.store hash shape behavior in
+  let make hash shape behavior = intern_hashed table.terms hash shape behavior in
   match t.shape with
   | Stop -> leaf []
   | Exit es ->

@@ -46,11 +46,8 @@ type move = {
   target : term;
 }
 
-(** [table spec] is an empty table. [concurrent] makes it safe to
-    intern and derive moves from several domains at once (a
-    lock-free {!Mv_par.Shard_set} instead of a [Hashtbl]); [expect]
-    pre-sizes it (a hint). *)
-val table : ?concurrent:bool -> ?expect:int -> Ast.spec -> table
+(** [table spec] is an empty table; [expect] pre-sizes it (a hint). *)
+val table : ?expect:int -> Ast.spec -> table
 
 (** [intern table b] is the term of [Ast.normalize b]. *)
 val intern : table -> Ast.behavior -> term
@@ -65,9 +62,7 @@ val hash : term -> int
     are assembled from the moves of the term's components, which are
     derived once and cached on them; the term's own list is not kept,
     as an exploration asks for it once. [fuel] bounds call unfolding
-    (default 100) exactly as in {!moves}, whatever was cached before.
-    Safe to call from several domains at once on a [concurrent]
-    table. *)
+    (default 100) exactly as in {!moves}, whatever was cached before. *)
 val successors : ?fuel:int -> table -> term -> move list
 
 (** Outgoing moves of a behaviour, with each continuation normalized

@@ -24,13 +24,10 @@ let successors table term =
     (fun m -> (m.Semantics.name, m.Semantics.target))
     (Semantics.successors table term)
 
-let generate ?pool ?tick ?(max_states = 1_000_000) ?expect spec =
-  let concurrent =
-    match pool with Some pool -> Mv_par.Pool.size pool > 1 | None -> false
-  in
-  let table = Semantics.table ~concurrent ?expect spec in
+let generate ?tick ?(max_states = 1_000_000) ?expect spec =
+  let table = Semantics.table ?expect spec in
   let result =
-    Term_explore.run ?pool ?tick ~max_states ~on_truncate:`Raise ?expect
+    Term_explore.run ?tick ~max_states ~on_truncate:`Raise ?expect
       ~initial:(Semantics.intern table spec.Ast.init)
       ~successors:(successors table) ()
   in
@@ -38,8 +35,8 @@ let generate ?pool ?tick ?(max_states = 1_000_000) ?expect spec =
     terms = Array.map Semantics.behavior result.Explore.states;
     truncated = result.Explore.truncated }
 
-let lts ?pool ?tick ?max_states ?expect spec =
-  (generate ?pool ?tick ?max_states ?expect spec).lts
+let lts ?tick ?max_states ?expect spec =
+  (generate ?tick ?max_states ?expect spec).lts
 
 (* The out-of-core seen set keys states by their marshalled bytes, so
    they stay whole behaviours; each expansion interns its state in a

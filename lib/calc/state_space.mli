@@ -20,28 +20,22 @@ type outcome = {
   truncated : bool;
 }
 
-(** [generate ?pool ?max_states spec] explores breadth-first from
+(** [generate ?max_states spec] explores breadth-first from
     [spec.init]. Default bound: 1_000_000 states; reaching it raises
-    {!Mv_lts.Explore.Too_many_states}. With a [pool] of size > 1 the
-    frontier levels are expanded on all pool domains, interning into a
-    lock-free {!Mv_par.Shard_set}; the resulting LTS — numbering,
-    transitions, labels — is identical to the sequential one (see
-    {!Mv_lts.Explore.Make.run}).
+    {!Mv_lts.Explore.Too_many_states}.
     [tick] is forwarded to {!Mv_lts.Explore.Make.run}: a cooperative
     budget checkpoint called with the discovered-state count.
     [expect] pre-sizes the exploration hash tables (a hint, never a
     bound). *)
 val generate :
-  ?pool:Mv_par.Pool.t ->
   ?tick:(states:int -> unit) ->
   ?max_states:int ->
   ?expect:int ->
   Ast.spec ->
   outcome
 
-(** [lts ?pool ?tick ?max_states spec] is [(generate spec).lts]. *)
+(** [lts ?tick ?max_states spec] is [(generate spec).lts]. *)
 val lts :
-  ?pool:Mv_par.Pool.t ->
   ?tick:(states:int -> unit) ->
   ?max_states:int ->
   ?expect:int ->

@@ -68,13 +68,14 @@ let rec flatten gates node =
   | Par (g, a, b) when same_gates g gates -> flatten gates a @ flatten gates b
   | n -> [ n ]
 
-let evaluate ?(plan = `Naive) ~strategy node =
+let evaluate ?(plan = `Naive) ?(tick = fun ~states:_ -> ()) ~strategy node =
   let steps = ref [] in
   let record description lts =
     steps :=
       { description; states = Lts.nb_states lts;
         transitions = Lts.nb_transitions lts }
       :: !steps;
+    tick ~states:(Lts.nb_states lts);
     lts
   in
   let reduce description lts =

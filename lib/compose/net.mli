@@ -50,7 +50,16 @@ type report = {
   peak_states : int; (** largest intermediate state count *)
 }
 
-val evaluate : ?plan:plan -> strategy:strategy -> node -> report
+(** [tick] is called with the state count of each step as it is
+    recorded (every leaf, product, hiding, renaming and minimization),
+    and may raise to abandon the evaluation; the flow checks its
+    state budget there. *)
+val evaluate :
+  ?plan:plan ->
+  ?tick:(states:int -> unit) ->
+  strategy:strategy ->
+  node ->
+  report
 
 (** Convenience: [par_list gates \[n1; ...\]] left-associates
     [Par gates]. *)

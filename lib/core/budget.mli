@@ -14,8 +14,9 @@
 
     Budgets are attached to a run through
     {!Flow.Config.with_budget}; they are deliberately {e not} part of
-    {!Mv_store.Cache} keys (they bound computation, not results — a
-    warm cache hit is always within budget). *)
+    {!Mv_store.Cache} keys (they bound computation, not results). A
+    cached LTS is still checked against the state budget, so a warm
+    run fails where a cold one would. *)
 
 type t
 

@@ -127,9 +127,8 @@ module Run = struct
         ~params:[ max_states_param config ]
         ~source:(Mv_calc.Ast.spec_to_string spec)
         (fun () ->
-          Mv_calc.State_space.lts ?pool:config.pool
-            ?tick:(budget_probe config) ?max_states:config.max_states
-            ?expect:config.expect spec)
+          Mv_calc.State_space.lts ?tick:(budget_probe config)
+            ?max_states:config.max_states ?expect:config.expect spec)
     in
     (* The explorer ticks at a coarse stride, so re-check the final
        count — outside the memo, so an over-budget state space is
@@ -165,7 +164,7 @@ module Run = struct
                 { spec with Mv_calc.Ast.init = behavior } )
       in
       Mv_compose.Net.evaluate ~plan:config.compose_plan
-        ~strategy:`Compositional
+        ?tick:(budget_probe config) ~strategy:`Compositional
         (decompose spec.Mv_calc.Ast.init)
     in
     match config.cache with
@@ -190,6 +189,8 @@ module Run = struct
           Cache.find_lts cache ~op:"generate_compositional" ~params source
         with
         | Some result ->
+          (* a cached product is checked like a composed one *)
+          budget_states config (Lts.nb_states result);
           {
             Mv_compose.Net.result;
             steps =

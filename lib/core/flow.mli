@@ -40,8 +40,9 @@ module Config : sig
       [Config.(default |> with_max_states 100_000 |> with_keep ["get"])]. *)
   type t = {
     pool : Mv_par.Pool.t option;
-        (** worker pool for generation, minimization and solving;
-            results are identical at every pool size *)
+        (** worker pool for minimization, solving and simulation
+            ([-j]); results are identical at every pool size.
+            Generation is sequential and never reads it. *)
     max_states : int option;  (** exploration bound for generation *)
     hide : string list;  (** gates abstracted to tau ({!Run.verify}) *)
     keep : string list;
@@ -52,20 +53,23 @@ module Config : sig
             {!Run.generate_compositional}, {!Run.minimize} and the
             lumping step of {!Run.performance} *)
     solve_method : Mv_kern.Solver.method_ option;
-        (** steady-state iteration for {!Run.performance} solves
-            ([mval solve --method]); [None] picks Gauss-Seidel, with
-            or without a pool. Like the pool, absent from cache
-            keys: every method converges to the same vector within
-            the solver tolerance, and solve results are never
-            cached. *)
+        (** steady-state method for {!Run.performance} solves
+            ([mval solve --method]). [None] lets {!Mv_kern.Solver.run}
+            choose per BSCC: a direct banded GTH elimination when its
+            cost model allows it, Gauss-Seidel sweeps otherwise.
+            [Some Gauss_seidel] forces the sweeps. Like the pool,
+            absent from cache keys: every method converges to the
+            same vector within the solver tolerance, and solve
+            results are never cached. *)
     budget : Budget.t option;
         (** per-request computation budget (state count, wall time),
             enforced cooperatively inside the pipeline steps: the
             explorer checks it every batch, and every step boundary
             re-checks it. Over-budget runs raise {!Budget.Exceeded}.
             Like the pool, absent from cache keys: budgets bound
-            computation, not results, so a warm cache hit always
-            succeeds. *)
+            computation, not results. A cached LTS is still checked
+            against the state budget, so a warm run fails exactly
+            where a cold one would. *)
     mem_budget_mb : int option;
         (** RAM target for the out-of-core path: half goes to the hot
             seen-set, the rest covers bloom bits and the current BFS
@@ -118,14 +122,17 @@ type performance = {
   lumped : Mv_imc.Imc.t;  (** after stochastic minimization *)
   conversion : Mv_imc.To_ctmc.result;
   steady : (float array * Mv_markov.Solver_stats.t) Lazy.t;
-      (** steady-state of the CTMC, with the iterative solve's stats *)
+      (** steady-state of the CTMC, with the solve's stats: zero
+          iterations when every BSCC was eliminated directly, the
+          sweep count and residual when Gauss-Seidel ran *)
 }
 
 (** {1 Pipelines} *)
 
 module Run : sig
-  (** State-space generation; memoized through [config.cache] keyed on
-      the printed model text and [max_states] (never the pool). *)
+  (** State-space generation, sequential; memoized through
+      [config.cache] keyed on the printed model text and
+      [max_states]. *)
   val generate : Config.t -> Mv_calc.Ast.spec -> Mv_lts.Lts.t
 
   (** Compositional generation (the automated form of the paper's §3
@@ -135,8 +142,10 @@ module Run : sig
       ({!Mv_compose.Net}). The result is branching-equivalent to
       {!generate} but the peak intermediate size can be exponentially
       smaller. Only [|\[...\]|] and [hide] nodes are split; any other
-      construct becomes a leaf. With a cache, only the final LTS is
-      memoized: a hit returns a report with one synthetic step and
+      construct becomes a leaf. [config.budget]'s state limit is
+      checked on every leaf, product and minimization step. With a
+      cache, only the final LTS is memoized: a hit is checked against
+      the budget too, and returns a report with one synthetic step and
       [peak_states] equal to the result size. *)
   val generate_compositional :
     Config.t -> Mv_calc.Ast.spec -> Mv_compose.Net.report

@@ -30,7 +30,7 @@ type ooc_outcome = {
 }
 
 module Make (S : STATE) : sig
-  (** [run ?pool ?max_states ?on_truncate ~initial ~successors ()]
+  (** [run ?max_states ?on_truncate ~initial ~successors ()]
       explores breadth-first from [initial]. [successors s] lists the
       labelled moves of [s] (label is a printed name; ["i"] is tau).
 
@@ -39,31 +39,17 @@ module Make (S : STATE) : sig
       abandoned and [truncated] is true (transitions into discovered
       states are kept); with [`Raise] {!Too_many_states} is raised.
 
-      With a [pool] of size > 1 the search switches to
-      level-synchronous parallel BFS: each frontier level is expanded
-      concurrently (the calls to [successors] — the dominant cost —
-      run on all domains, deduplicating states through a sharded
-      concurrent table), then a cheap sequential post-pass replays the
-      canonical breadth-first numbering over the in-memory successor
-      lists. The outcome — state numbering, transition set, label
-      table, states array, truncation behaviour — is {e identical} to
-      the sequential one; [successors] must be safe to call
-      concurrently (pure functions are).
-
       [tick] is a cooperative checkpoint for callers that enforce
       per-request budgets (see [Mv_core.Budget]): it is called with
-      the current discovered-state count every 64 expansions
-      (sequential search) or once per BFS level (parallel search),
-      always from the calling domain, and may raise to abandon the
-      exploration.
+      the current discovered-state count every 64 expansions, and may
+      raise to abandon the exploration.
 
       [expect] is a sizing hint — the anticipated number of reachable
       states (from a [--expect] flag or the compositional planner's
-      estimate). It pre-sizes the hash tables so a large exploration
+      estimate). It pre-sizes the hash table so a large exploration
       does not pay O(log n) rehashing rounds; it never affects the
       result. *)
   val run :
-    ?pool:Mv_par.Pool.t ->
     ?tick:(states:int -> unit) ->
     ?max_states:int ->
     ?on_truncate:[ `Stop | `Raise ] ->

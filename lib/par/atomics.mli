@@ -1,9 +1,9 @@
 (** The atomic primitives the lock-free structures are written
     against.
 
-    {!Deque} and {!Shard_set} take their atomics as a functor argument
-    instead of calling [Stdlib.Atomic] directly, so the {e same}
-    algorithm code runs in two worlds:
+    {!Deque} takes its atomics as a functor argument instead of
+    calling [Stdlib.Atomic] directly, so the {e same} algorithm code
+    runs in two worlds:
 
     - production, instantiated with {!Real} (= [Stdlib.Atomic], whose
       operations are sequentially consistent per the OCaml memory

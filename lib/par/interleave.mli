@@ -10,9 +10,9 @@
     Because OCaml atomics are sequentially consistent, enumerating
     interleavings of atomic accesses is a sound and complete
     exploration of the behaviours the real {!Atomics.Real} instance
-    can exhibit — which is exactly why {!Deque.Make} and
-    {!Shard_set.Bucket} are functorized over {!Atomics.S}: the model
-    checker runs the shipped algorithm, not a copy.
+    can exhibit — which is exactly why {!Deque.Make} is functorized
+    over {!Atomics.S}: the model checker runs the shipped algorithm,
+    not a copy.
 
     Scope and limits: programs must be bounded (a few threads, a
     handful of atomic accesses each — the schedule count is

@@ -44,10 +44,10 @@ val scope : ?chunk:Chunk.policy -> domains:int -> (t -> 'a) -> 'a
     call per worker, and returns when all have finished; exceptions
     raised by workers are re-raised here (first one wins). The raw
     fork-join primitive under the loops below — engines with bespoke
-    work distribution (the explorer, Refine) use it directly. Nested
-    [run] on the same pool is not allowed. The join establishes the
-    happens-before edges that make worker writes (e.g. into disjoint
-    array slots) visible to the caller. *)
+    work distribution (Refine, the [mvald] workers) use it directly.
+    Nested [run] on the same pool is not allowed. The join establishes
+    the happens-before edges that make worker writes (e.g. into
+    disjoint array slots) visible to the caller. *)
 val run : t -> (int -> unit) -> unit
 
 (** [for_ ~pool ~lo ~hi f] runs [f i] for every [lo <= i < hi], each

@@ -213,9 +213,9 @@ let successors spec behavior =
     (moves spec behavior)
 
 (* what [State_space.generate] returned: the LTS and its state terms *)
-let generate ?pool ?(max_states = 1_000_000) spec =
+let generate ?(max_states = 1_000_000) spec =
   let result =
-    Term_explore.run ?pool ~max_states ~on_truncate:`Raise
+    Term_explore.run ~max_states ~on_truncate:`Raise
       ~initial:(Ast.normalize spec.Ast.init)
       ~successors:(successors spec) ()
   in

@@ -224,6 +224,43 @@ init hide g1 in ((hide g2 in ((Buf[g0, g1](0) |[g1]| Buf[g1, g2](0)) |[g2]| Buf[
   Alcotest.(check bool) "really split" true
     (List.length report.Mv_compose.Net.steps > 3)
 
+(* A state budget bounds every step of a compositional generation,
+   not only the leaves: the leaves of a 6-buffer chain have 3 states
+   each, but its products grow to 729. A warm run, whose result comes
+   from the cache, must fail where the cold one does. *)
+let test_compositional_budget () =
+  let text =
+    {|
+process Buf [input, output] (n : int[0..2]) :=
+    [n < 2] -> input ; Buf[input, output](n + 1)
+ [] [n > 0] -> output ; Buf[input, output](n - 1)
+init ((((Buf[g0, g1](0) |[g1]| Buf[g1, g2](0)) |[g2]| Buf[g2, g3](0))
+  |[g3]| Buf[g3, g4](0)) |[g4]| Buf[g4, g5](0)) |[g5]| Buf[g5, g6](0)
+|}
+  in
+  let spec = Flow.model_of_text text in
+  let budgeted config =
+    Flow.Config.with_budget
+      (Some (Mv_core.Budget.create ~max_states:100 ()))
+      config
+  in
+  let exceeds name config =
+    match Flow.Run.generate_compositional config spec with
+    | _ -> Alcotest.failf "%s: a 100-state budget passed" name
+    | exception Mv_core.Budget.Exceeded { resource; _ } ->
+      Alcotest.(check string) (name ^ ": resource") "states" resource
+  in
+  exceeds "cold" (budgeted Flow.Config.default);
+  Test_store.in_sandbox @@ fun dir ->
+  let cached =
+    Flow.Config.with_cache (Some (Mv_store.Cache.open_dir dir))
+      Flow.Config.default
+  in
+  let report = Flow.Run.generate_compositional cached spec in
+  Alcotest.(check int) "unbudgeted result" 729
+    (Mv_lts.Lts.nb_states report.Mv_compose.Net.result);
+  exceeds "warm" (budgeted cached)
+
 let suite =
   [
     Alcotest.test_case "model_of_text errors" `Quick test_model_of_text_errors;
@@ -242,4 +279,6 @@ let suite =
     Alcotest.test_case "verification witnesses" `Quick test_witnesses;
     Alcotest.test_case "compositional generation" `Quick
       test_generate_compositional;
+    Alcotest.test_case "compositional generation within the state budget"
+      `Quick test_compositional_budget;
   ]

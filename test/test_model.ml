@@ -1,9 +1,9 @@
-(* Schedule-exploration tests: the shipped lock-free algorithms
-   (Deque.Make, Shard_set.Bucket) instantiated over the virtual
-   atomics of Mv_par.Interleave, with every interleaving of their
-   atomic accesses enumerated. A failure here is a linearizability
-   bug with a deterministic repro (the Violation carries the
-   thread-choice schedule). *)
+(* Schedule-exploration tests: the shipped lock-free deque
+   (Deque.Make) instantiated over the virtual atomics of
+   Mv_par.Interleave, with every interleaving of its atomic accesses
+   enumerated. A failure here is a linearizability bug with a
+   deterministic repro (the Violation carries the thread-choice
+   schedule). *)
 
 module Interleave = Mv_par.Interleave
 module A = Mv_par.Interleave.A
@@ -130,102 +130,6 @@ let test_deque_growth_during_steal () =
   in
   check_stats "growth during steal" 10 stats
 
-(* ---- Shard_set bucket ---- *)
-
-module B =
-  Mv_par.Shard_set.Bucket
-    (Mv_par.Interleave.A)
-    (struct
-      type t = int
-
-      let equal = Int.equal
-      let hash = Hashtbl.hash
-    end)
-
-type bucket_state = {
-  head : B.node A.t;
-  next_slot : int A.t;
-  results : (int * bool) option ref array;
-}
-
-let bucket_setup nb_threads () =
-  {
-    head = A.make B.Nil;
-    next_slot = A.make 0;
-    results = Array.init nb_threads (fun _ -> ref None);
-  }
-
-let bucket_add st k x =
-  let alloc () = A.fetch_and_add st.next_slot 1 in
-  st.results.(k) := Some (B.add st.head x ~alloc)
-
-let chain_occurrences st x =
-  let rec walk n acc =
-    match n with
-    | B.Nil -> acc
-    | B.Cons { elem; next; _ } -> walk next (if elem = x then acc + 1 else acc)
-  in
-  walk (A.get st.head) 0
-
-(* two adds of the same element: one fresh insert, one hit, same slot,
-   the chain holds the element exactly once *)
-let test_bucket_same_element () =
-  let stats =
-    explore
-      ~setup:(bucket_setup 2)
-      ~threads:[ (fun st -> bucket_add st 0 42); (fun st -> bucket_add st 1 42) ]
-      ~check:(fun st ->
-        match (!(st.results.(0)), !(st.results.(1))) with
-        | Some (s0, f0), Some (s1, f1) ->
-          s0 = s1
-          && Bool.to_int f0 + Bool.to_int f1 = 1
-          && chain_occurrences st 42 = 1
-          && B.find_node (A.get st.head) 42 = Some s0
-        | _ -> false)
-      ()
-  in
-  check_stats "same element" 10 stats
-
-(* two adds of distinct elements: both fresh, distinct slots, each in
-   the chain exactly once (the loser of the head CAS must re-link) *)
-let test_bucket_distinct_elements () =
-  let stats =
-    explore
-      ~setup:(bucket_setup 2)
-      ~threads:[ (fun st -> bucket_add st 0 1); (fun st -> bucket_add st 1 2) ]
-      ~check:(fun st ->
-        match (!(st.results.(0)), !(st.results.(1))) with
-        | Some (s0, true), Some (s1, true) ->
-          s0 <> s1 && chain_occurrences st 1 = 1 && chain_occurrences st 2 = 1
-        | _ -> false)
-      ()
-  in
-  check_stats "distinct elements" 10 stats
-
-(* three-way mix: two racing adds of x against one of y *)
-let test_bucket_three_way () =
-  let stats =
-    explore
-      ~setup:(bucket_setup 3)
-      ~threads:
-        [ (fun st -> bucket_add st 0 5);
-          (fun st -> bucket_add st 1 5);
-          (fun st -> bucket_add st 2 9) ]
-      ~check:(fun st ->
-        match
-          (!(st.results.(0)), !(st.results.(1)), !(st.results.(2)))
-        with
-        | Some (s0, f0), Some (s1, f1), Some (_, fy) ->
-          s0 = s1
-          && Bool.to_int f0 + Bool.to_int f1 = 1
-          && fy
-          && chain_occurrences st 5 = 1
-          && chain_occurrences st 9 = 1
-        | _ -> false)
-      ()
-  in
-  check_stats "three-way" 100 stats
-
 let suite =
   [
     Alcotest.test_case "harness detects a lost update" `Quick
@@ -240,9 +144,4 @@ let suite =
       test_deque_steal_steal_race;
     Alcotest.test_case "deque: growth during steal" `Quick
       test_deque_growth_during_steal;
-    Alcotest.test_case "bucket: racing adds of one element" `Quick
-      test_bucket_same_element;
-    Alcotest.test_case "bucket: racing adds of distinct elements" `Quick
-      test_bucket_distinct_elements;
-    Alcotest.test_case "bucket: three-way race" `Quick test_bucket_three_way;
   ]

@@ -1,17 +1,15 @@
-(* Tests for mv_par (chunk policies, lock-free deque, pool, loops,
-   shard set) and for the
-   determinism contract of every pool-enabled engine: whatever -j N,
-   generation yields the identical LTS, refinement the identical
-   partition, and the solvers the same vectors (bitwise for the
-   matrix/replication paths, <= 1e-12 vs the sequential Gauss-Seidel
-   for the steady-state solver). *)
+(* Tests for mv_par (chunk policies, lock-free deque, pool, loops)
+   and for the determinism contract of every pool-enabled engine:
+   whatever -j N, refinement yields the identical partition, and the
+   solvers the same vectors (bitwise for the matrix/replication
+   paths, <= 1e-12 vs the sequential Gauss-Seidel for the steady-state
+   solver). *)
 
 module Pool = Mv_par.Pool
 module Chunk = Mv_par.Chunk
 module Deque = Mv_par.Deque
 module Ctmc = Mv_markov.Ctmc
 module Lts = Mv_lts.Lts
-module Aut = Mv_lts.Aut
 
 let with_pool domains f = Pool.scope ~domains f
 
@@ -224,86 +222,6 @@ let deque_steal_prop =
     QCheck2.Gen.(pair (int_range 1_000 5_000) (int_range 1 3))
     (fun (n, nb_stealers) -> steal_race ~n ~nb_stealers)
 
-(* ---- shard set ---- *)
-
-module Int_set = Mv_par.Shard_set.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash = Hashtbl.hash
-  end)
-
-let test_shard_set_sequential () =
-  let s = Int_set.create ~shards:8 () in
-  let id0, fresh0 = Int_set.add s 42 in
-  let id0', fresh0' = Int_set.add s 42 in
-  Alcotest.(check bool) "first add fresh" true fresh0;
-  Alcotest.(check bool) "second add stale" false fresh0';
-  Alcotest.(check int) "stable id" id0 id0';
-  Alcotest.(check (option int)) "find" (Some id0) (Int_set.find s 42);
-  Alcotest.(check (option int)) "absent" None (Int_set.find s 7);
-  Alcotest.(check bool) "mem" true (Int_set.mem s 42);
-  Alcotest.(check int) "get roundtrip" 42 (Int_set.get s id0);
-  Alcotest.(check int) "cardinal" 1 (Int_set.cardinal s)
-
-let test_shard_set_concurrent () =
-  let s = Int_set.create () in
-  let n = 10_000 in
-  with_pool 4 (fun pool ->
-      (* every element inserted twice, racing *)
-      Pool.for_ ~pool ~lo:0 ~hi:(2 * n) (fun i ->
-          ignore (Int_set.add s (i mod n))));
-  Alcotest.(check int) "cardinal" n (Int_set.cardinal s);
-  Alcotest.(check bool) "id_bound sane" true (Int_set.id_bound s >= n);
-  (* ids are unique and roundtrip through get *)
-  let ids = Hashtbl.create n in
-  for x = 0 to n - 1 do
-    let id = Option.get (Int_set.find s x) in
-    Alcotest.(check bool) "id in bound" true (id < Int_set.id_bound s);
-    Alcotest.(check bool) "id unique" false (Hashtbl.mem ids id);
-    Hashtbl.replace ids id ();
-    Alcotest.(check int) "get" x (Int_set.get s id)
-  done
-
-let test_shard_set_iter_snapshot () =
-  let s = Int_set.create ~shards:4 () in
-  for x = 0 to 99 do
-    ignore (Int_set.add s x)
-  done;
-  let seen = Hashtbl.create 128 in
-  Int_set.iter s (fun id x ->
-      Alcotest.(check bool) "no duplicate" false (Hashtbl.mem seen x);
-      Alcotest.(check int) "id roundtrip" x (Int_set.get s id);
-      Hashtbl.add seen x ());
-  Alcotest.(check int) "all visited" 100 (Hashtbl.length seen)
-
-let test_shard_set_iter_racing_adds () =
-  (* the documented snapshot contract: completed adds are visited
-     exactly once, racing adds once or never, nothing twice *)
-  let s = Int_set.create ~shards:4 () in
-  for x = 0 to 499 do
-    ignore (Int_set.add s x)
-  done;
-  let adder =
-    Domain.spawn (fun () ->
-        for x = 500 to 9_999 do
-          ignore (Int_set.add s x)
-        done)
-  in
-  let dup = ref false in
-  let completed = ref 0 in
-  let seen = Hashtbl.create 1024 in
-  Int_set.iter s (fun _ x ->
-      if Hashtbl.mem seen x then dup := true;
-      Hashtbl.replace seen x ();
-      if x < 500 then incr completed);
-  Domain.join adder;
-  Alcotest.(check bool) "no duplicates under race" false !dup;
-  Alcotest.(check int) "completed adds all visited" 500 !completed;
-  let total = ref 0 in
-  Int_set.iter s (fun _ _ -> incr total);
-  Alcotest.(check int) "quiescent iter exact" 10_000 !total
-
 (* ---- split streams ---- *)
 
 let test_streams_reproducible () =
@@ -319,46 +237,16 @@ let test_streams_reproducible () =
   in
   Alcotest.(check bool) "streams differ pairwise" true distinct
 
-(* ---- generation determinism across pool sizes ---- *)
+(* ---- refinement determinism ---- *)
 
 let tandem_spec () =
   Mv_xstream.Queues.tandem ~arrival:2.0 ~transfer:4.0 ~service:3.0 ~capacity1:3
     ~capacity2:3
 
-let fame_spec () = Mv_fame.Distributed.spec Mv_fame.Distributed.Correct
-
-let generate ?pool spec = Mv_calc.State_space.lts ?pool spec
-
-let test_generation_identical () =
-  List.iter
-    (fun (name, spec) ->
-       let reference = Aut.to_string (generate spec) in
-       List.iter
-         (fun domains ->
-            let parallel =
-              with_pool domains (fun pool -> Aut.to_string (generate ~pool spec))
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "%s at -j %d" name domains)
-              reference parallel)
-         [ 2; 4 ])
-    [ ("tandem", tandem_spec ()); ("fame-distributed", fame_spec ()) ]
-
-let test_generation_truncation_identical () =
-  let spec = tandem_spec () in
-  let count ?pool () =
-    match Mv_calc.State_space.lts ?pool ~max_states:10 spec with
-    | _ -> Alcotest.fail "expected truncation"
-    | exception Mv_lts.Explore.Too_many_states n -> n
-  in
-  let sequential = count () in
-  let parallel = with_pool 4 (fun pool -> count ~pool ()) in
-  Alcotest.(check int) "same bound reported" sequential parallel
-
-(* ---- refinement determinism ---- *)
-
 let test_partitions_identical () =
-  let lts = Lts.hide (generate (tandem_spec ())) ~gates:[ "push" ] in
+  let lts =
+    Lts.hide (Mv_calc.State_space.lts (tandem_spec ())) ~gates:[ "push" ]
+  in
   let check_partition name (p : Mv_bisim.Partition.t)
       (q : Mv_bisim.Partition.t) =
     Alcotest.(check int) (name ^ " count") p.count q.count;
@@ -487,20 +375,8 @@ let suite =
     Alcotest.test_case "deque steal stress (100k x 3 thieves)" `Quick
       test_deque_steal_stress;
     QCheck_alcotest.to_alcotest deque_steal_prop;
-    Alcotest.test_case "shard set sequential ops" `Quick
-      test_shard_set_sequential;
-    Alcotest.test_case "shard set concurrent inserts" `Quick
-      test_shard_set_concurrent;
-    Alcotest.test_case "shard set iter snapshot" `Quick
-      test_shard_set_iter_snapshot;
-    Alcotest.test_case "shard set iter vs racing adds" `Quick
-      test_shard_set_iter_racing_adds;
     Alcotest.test_case "split streams reproducible" `Quick
       test_streams_reproducible;
-    Alcotest.test_case "generation identical at any -j" `Quick
-      test_generation_identical;
-    Alcotest.test_case "truncation identical at any -j" `Quick
-      test_generation_truncation_identical;
     Alcotest.test_case "partitions identical at any -j" `Quick
       test_partitions_identical;
     Alcotest.test_case "steady state bitwise at any -j" `Quick

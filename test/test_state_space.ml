@@ -19,9 +19,9 @@ let outcome generate =
        | Mv_lts.Explore.Too_many_states _ ) as exn) ->
     Error (Printexc.to_string exn)
 
-let generated ?pool ?max_states spec =
+let generated ?max_states spec =
   outcome (fun () ->
-      let o = State_space.generate ?pool ?max_states spec in
+      let o = State_space.generate ?max_states spec in
       (o.State_space.lts, o.State_space.terms))
 
 let oracle ?max_states spec =
@@ -128,14 +128,6 @@ let test_case_studies () =
          (oracle_first_deadlock spec) (first_deadlock spec))
     (case_studies ())
 
-let test_case_studies_parallel () =
-  Mv_par.Pool.scope ~domains:4 (fun pool ->
-      List.iter
-        (fun (name, spec) ->
-           same_outcome (name ^ " at -j 4") (generated spec)
-             (generated ~pool spec))
-        (case_studies ()))
-
 (* ---- fuel: Unguarded_recursion fires where 100 unfoldings run out ---- *)
 
 let unguarded spec =
@@ -201,39 +193,12 @@ let prop_oracle =
         | Error _ -> ());
        true)
 
-(* The -j 4 pool of the property below, one for the whole run. Only
-   complete explorations are compared: when several states of one BFS
-   level fail, which error a parallel run reports first is up to the
-   schedule. *)
-let shared_pool = ref None
-
-let prop_parallel =
-  QCheck2.Test.make ~name:"generate -j 4 = -j 1" ~count:30
-    ~print:Ast.spec_to_string Test_calc_laws.spec_gen (fun spec ->
-        let max_states = 300 in
-        match generated ~max_states spec with
-        | Error _ -> true
-        | Ok _ as sequential ->
-          let pool = Option.get !shared_pool in
-          sequential = generated ~pool ~max_states spec)
-
-let with_shared_pool test =
-  let name, speed, run = QCheck_alcotest.to_alcotest test in
-  ( name,
-    speed,
-    fun () ->
-      Mv_par.Pool.scope ~domains:4 (fun pool ->
-          shared_pool := Some pool;
-          Fun.protect ~finally:(fun () -> shared_pool := None) run) )
-
 let suite =
   [
     Alcotest.test_case "case studies = term-level oracle" `Slow test_case_studies;
-    Alcotest.test_case "case studies: -j 4 = -j 1" `Slow test_case_studies_parallel;
     Alcotest.test_case "mutual unguarded recursion" `Quick test_mutual_recursion;
     Alcotest.test_case "unguarded depth at the fuel bound" `Quick test_unguarded_depth;
     Alcotest.test_case "cached moves respect fuel" `Quick
       test_cached_moves_respect_fuel;
     QCheck_alcotest.to_alcotest prop_oracle;
-    with_shared_pool prop_parallel;
   ]

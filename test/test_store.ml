@@ -405,21 +405,24 @@ init (Producer |[push]| Queue(0)) |[pop]| Consumer
 |}
 
 (* The pool is not part of the cache key: a sequential run primes the
-   cache for a parallel one and vice versa. *)
+   cache for a parallel one and vice versa. Generation takes no pool,
+   so the cached step is a minimization. *)
 let test_pool_not_in_key () =
   in_sandbox (fun dir ->
       let cache = Cache.open_dir (Filename.concat dir "c") in
-      let spec = Flow.model_of_text queue_model in
+      let lts =
+        Flow.Run.generate Flow.Config.default (Flow.model_of_text queue_model)
+      in
       let sequential =
-        Flow.Run.generate
+        Flow.Run.minimize
           Flow.Config.(with_cache (Some cache) default)
-          spec
+          Flow.Branching lts
       in
       let parallel =
         Mv_par.Pool.scope ~domains:4 (fun pool ->
-            Flow.Run.generate
+            Flow.Run.minimize
               Flow.Config.(default |> with_cache (Some cache) |> with_pool (Some pool))
-              spec)
+              Flow.Branching lts)
       in
       let hits, misses = Cache.session cache in
       Alcotest.(check (pair int int)) "second run hits" (1, 1) (hits, misses);
