@@ -605,11 +605,13 @@ let e7_minimization () =
 (* ------------------------------------------------------------------ *)
 (* E8: multicore scaling of the parallel engines                       *)
 
-(* Wall-clock times for the pool-enabled phases at 1/2/4/8 domains
-   (generation is sequential, so the FAUST row's generate step is the
-   same at every size). The outputs are identical whatever the pool
-   size (that is the Mv_par contract, cross-checked in
-   test/test_par.ml); this table only reports timing. On a
+(* Wall-clock times for the pool-enabled phases at 1/2/4/8 domains:
+   branching refinement and DES replications (generation, strong
+   refinement and the steady-state solve are sequential, so the FAUST
+   row's generate step is the same at every size and the tandem's IMC
+   is built once, outside the timing). The outputs are identical
+   whatever the pool size (that is the Mv_par contract, cross-checked
+   in test/test_par.ml); this table only reports timing. On a
    single-core container the speedup column honestly hovers around
    1.0x (or below: domains add overhead without adding parallelism) —
    run on a multicore host to see the scaling. *)
@@ -623,28 +625,26 @@ let e8_scaling () =
     if domains = 1 then f None
     else Mv_par.Pool.scope ~domains (fun pool -> f (Some pool))
   in
-  let config pool = Flow.Config.(default |> with_pool pool) in
   let faust_spec =
     Mv_faust.Mesh.spec Mv_faust.Mesh.Port_buffered
       ~flows:Mv_faust.Mesh.crossing_flows
   in
-  let queue_spec =
-    Mv_xstream.Queues.tandem ~arrival:e2_arrival ~transfer:4.0
-      ~service:e2_service ~capacity1:4 ~capacity2:4
+  let queue_imc =
+    Imc.of_lts
+      (Flow.Run.generate Flow.Config.default
+         (Mv_xstream.Queues.tandem ~arrival:e2_arrival ~transfer:4.0
+            ~service:e2_service ~capacity1:4 ~capacity2:4))
   in
   let tasks =
     [ ("FAUST 2x2 mesh: generate + branching min.",
        fun pool () ->
          ignore (Mv_bisim.Branching.minimize ?pool
-                   (Flow.Run.generate (config pool) faust_spec)));
-      ("xSTream tandem: performance solve",
+                   (Flow.Run.generate Flow.Config.default faust_spec)));
+      ("xSTream tandem: DES throughput, 64 replications",
        fun pool () ->
-         let perf =
-           Flow.Run.performance
-             (Flow.Config.with_keep [ "pop" ] (config pool))
-             queue_spec
-         in
-         ignore (Flow.throughputs perf)) ]
+         ignore
+           (Mv_sim.Des.throughput_stats ?pool queue_imc ~action:"pop"
+              ~horizon:1000.0 ~replications:64 ~seed:7L)) ]
   in
   let rows =
     List.map
@@ -799,8 +799,9 @@ let write_bench_json path =
    case's IMC ([Imc.of_lts]): the incremental engine's partition must
    equal the oracle's, block ids included. Then the solvers on the
    xSTream tandem steady state: the default direct (GTH) solve, the
-   Gauss-Seidel sweeps, and their distance to the dense LU oracle. The detail lands in BENCH_multival.json under "e10" for
-   CI. *)
+   Gauss-Seidel sweeps, and their distance to the dense LU oracle.
+   Last, the kernels that still take a pool, at -j 8 vs -j 1. The
+   detail lands in BENCH_multival.json under "e10" for CI. *)
 let e10_kernels () =
   let best_of_3 f =
     let once () =
@@ -959,53 +960,54 @@ let e10_kernels () =
         stats_direct pi_direct time_direct;
       row "gauss-seidel" stats_gs pi_gs time_gs;
       [ "dense LU (oracle)"; "-"; "-"; "-"; "0"; f time_lu ] ];
-  (* E10c: the parallel kernels themselves — strong refinement (round
-     batched splitter gather) and colored Gauss-Seidel at -j 8 against
-     the sequential -j 1 path. Outputs must be byte-identical; the
-     speedup columns are honest about the host (a single-core container
+  (* E10c: the kernels that still take a pool — branching refinement
+     (signatures per inert-tau height) and transient uniformization —
+     at -j 8 against the sequential -j 1 path. Outputs must be
+     identical (partition block ids, bitwise vectors); the speedup
+     columns are honest about the host (a single-core container
      reports ~1.0x or below). *)
   let refine_lts = tandem 20 in
-  let quotient_j1 = Mv_bisim.Strong.minimize refine_lts in
-  let refine_j1_s = best_of_3 (fun () -> Mv_bisim.Strong.minimize refine_lts) in
-  let pi_j1 = Ctmc.steady_state ~method_:Mv_kern.Solver.Gauss_seidel ctmc in
-  let gs_j1_s =
-    best_of_3 (fun () ->
-        Ctmc.steady_state ~method_:Mv_kern.Solver.Gauss_seidel ctmc)
+  let branching_j1 = Mv_bisim.Branching.partition refine_lts in
+  let branching_j1_s =
+    best_of_3 (fun () -> Mv_bisim.Branching.partition refine_lts)
   in
-  let ( refine_j8_s, refine_identical, gs_j8_s, gs_identical ) =
+  let horizon = 10.0 in
+  let transient_j1 = Ctmc.transient ctmc ~horizon in
+  let transient_j1_s = best_of_3 (fun () -> Ctmc.transient ctmc ~horizon) in
+  let branching_j8_s, branching_identical, transient_j8_s, transient_identical
+      =
     Mv_par.Pool.scope ~domains:8 (fun pool ->
-        let quotient_j8 = Mv_bisim.Strong.minimize ~pool refine_lts in
-        let refine_j8_s =
-          best_of_3 (fun () -> Mv_bisim.Strong.minimize ~pool refine_lts)
+        let branching_j8 = Mv_bisim.Branching.partition ~pool refine_lts in
+        let branching_j8_s =
+          best_of_3 (fun () -> Mv_bisim.Branching.partition ~pool refine_lts)
         in
-        let pi_j8 =
-          Ctmc.steady_state ~pool ~method_:Mv_kern.Solver.Gauss_seidel ctmc
+        let transient_j8 = Ctmc.transient ~pool ctmc ~horizon in
+        let transient_j8_s =
+          best_of_3 (fun () -> Ctmc.transient ~pool ctmc ~horizon)
         in
-        let gs_j8_s =
-          best_of_3 (fun () ->
-              Ctmc.steady_state ~pool ~method_:Mv_kern.Solver.Gauss_seidel ctmc)
-        in
-        ( refine_j8_s,
-          Mv_lts.Aut.to_string quotient_j8 = Mv_lts.Aut.to_string quotient_j1,
-          gs_j8_s,
-          pi_j8 = pi_j1 ))
+        ( branching_j8_s,
+          branching_j8 = branching_j1,
+          transient_j8_s,
+          transient_j8 = transient_j1 ))
   in
   let ratio t1 t8 = if t8 > 0.0 then t1 /. t8 else 0.0 in
   Report.table
     ~title:
       (Printf.sprintf
-         "E10c  Parallel kernels at -j 8 vs -j 1 (best of 3; outputs \
-          byte-identical by construction; host reports %d recommended \
+         "E10c  Pooled kernels at -j 8 vs -j 1 (best of 3; outputs \
+          identical by construction; host reports %d recommended \
           domains)"
          (Mv_par.Pool.auto ()))
     ~header:[ "kernel"; "-j 1"; "-j 8"; "speedup (j8/j1)"; "output" ]
-    [ [ "strong refine (tandem 20+20)"; f refine_j1_s; f refine_j8_s;
-        Printf.sprintf "%.2fx" (ratio refine_j1_s refine_j8_s);
-        (if refine_identical then "identical" else "DIFFERS") ];
-      [ Printf.sprintf "colored GS solve (%d states)" (Ctmc.nb_states ctmc);
-        f gs_j1_s; f gs_j8_s;
-        Printf.sprintf "%.2fx" (ratio gs_j1_s gs_j8_s);
-        (if gs_identical then "identical" else "DIFFERS") ] ];
+    [ [ "branching partition (tandem 20+20)"; f branching_j1_s;
+        f branching_j8_s;
+        Printf.sprintf "%.2fx" (ratio branching_j1_s branching_j8_s);
+        (if branching_identical then "identical" else "DIFFERS") ];
+      [ Printf.sprintf "transient, horizon %g (%d states)" horizon
+          (Ctmc.nb_states ctmc);
+        f transient_j1_s; f transient_j8_s;
+        Printf.sprintf "%.2fx" (ratio transient_j1_s transient_j8_s);
+        (if transient_identical then "identical" else "DIFFERS") ] ];
   bench_extra :=
     ( "e10",
       Json.Obj
@@ -1016,14 +1018,16 @@ let e10_kernels () =
           ("gs_vs_direct", Json.Float gs_vs_direct);
           ("direct_s", Json.Float time_direct);
           ("gs_s", Json.Float time_gs);
-          ("refine_j1_s", Json.Float refine_j1_s);
-          ("refine_j8_s", Json.Float refine_j8_s);
-          ("refine_speedup_j8", Json.Float (ratio refine_j1_s refine_j8_s));
-          ("refine_quotient_identical", Json.Bool refine_identical);
-          ("gs_j1_s", Json.Float gs_j1_s);
-          ("gs_j8_s", Json.Float gs_j8_s);
-          ("gs_speedup_j8", Json.Float (ratio gs_j1_s gs_j8_s));
-          ("gs_vector_identical", Json.Bool gs_identical) ] )
+          ("branching_j1_s", Json.Float branching_j1_s);
+          ("branching_j8_s", Json.Float branching_j8_s);
+          ("branching_speedup_j8",
+           Json.Float (ratio branching_j1_s branching_j8_s));
+          ("branching_partition_identical", Json.Bool branching_identical);
+          ("transient_j1_s", Json.Float transient_j1_s);
+          ("transient_j8_s", Json.Float transient_j8_s);
+          ("transient_speedup_j8",
+           Json.Float (ratio transient_j1_s transient_j8_s));
+          ("transient_vector_identical", Json.Bool transient_identical) ] )
     :: !bench_extra
 
 (* ------------------------------------------------------------------ *)

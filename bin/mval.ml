@@ -332,8 +332,9 @@ let jobs_arg =
     & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel phases (refinement, \
-           solving, simulation; generation is sequential): $(b,1) is \
+          "Worker domains for the parallel phases (branching \
+           refinement and simulation replications; generation, strong \
+           and weak refinement and solving are sequential): $(b,1) is \
            fully sequential (default), $(b,0) uses one domain per \
            core. The output is identical for every N.")
 
@@ -775,18 +776,18 @@ let solve_cmd =
       & opt (some string) None
       & info [ "method" ] ~docv:"M"
           ~doc:
-            "Force the steady-state sweeps: $(b,gs) (colored \
-             Gauss-Seidel, parallel under $(b,-j) with bit-identical \
-             results). By default each BSCC narrow enough in BFS order \
-             is solved by a direct banded elimination, and the others \
-             by $(b,gs). Both agree within the solver tolerance. It \
+            "Force the steady-state sweeps: $(b,gs) (sequential \
+             Gauss-Seidel in BFS order). By default each BSCC narrow \
+             enough in BFS order is solved by a direct banded \
+             elimination, and the others by $(b,gs). Both agree within \
+             the solver tolerance. It \
              covers the steady-state solves (each BSCC, and the \
              absorption solve of a chain with several), not the \
              passage-time solve of $(b,--time-to-first), which always \
              takes the default.")
   in
-  let run () model max_states keep first scheduler method_ jobs no_lint cache
-      remote budget =
+  let run () model max_states keep first scheduler method_ no_lint cache remote
+      budget =
     handle_errors (fun () ->
         let solve_method =
           match method_ with
@@ -836,29 +837,27 @@ let solve_cmd =
                    | None -> [])))
         | None ->
           let cache = open_cache cache in
-          with_jobs jobs (fun pool ->
-              let spec = Flow.model_of_text (read_file model) in
-              let config =
-                {
-                  Flow.Config.default with
-                  pool;
-                  max_states = Some max_states;
-                  keep;
-                  scheduler;
-                  cache;
-                  solve_method;
-                  budget = local_budget budget;
-                }
-              in
-              print_texts (Ops.solve_texts config ~first spec)))
+          let spec = Flow.model_of_text (read_file model) in
+          let config =
+            {
+              Flow.Config.default with
+              max_states = Some max_states;
+              keep;
+              scheduler;
+              cache;
+              solve_method;
+              budget = local_budget budget;
+            }
+          in
+          print_texts (Ops.solve_texts config ~first spec))
   in
   Cmd.v
     (Cmd.info "solve"
        ~doc:"Run the performance pipeline: IMC, lumping, CTMC, throughputs")
     Term.(
       const run $ obs_term $ model_arg $ max_states_arg $ keep_arg $ first_arg
-      $ scheduler_arg $ method_arg $ jobs_arg $ no_lint_arg $ cache_arg
-      $ remote_arg $ budget_term)
+      $ scheduler_arg $ method_arg $ no_lint_arg $ cache_arg $ remote_arg
+      $ budget_term)
 
 (* ---- translate ---- *)
 

@@ -4,6 +4,7 @@ module Scc = Mv_lts.Scc
 module Csr = Mv_kern.Csr
 module Arr = Mv_kern.Arr
 module Sig_table = Mv_kern.Sig_table
+module Obs = Mv_obs.Obs
 
 let tau_scc lts =
   let iter_succ s f = Lts.iter_out lts s (fun l d -> if l = Label.tau then f d) in
@@ -131,10 +132,13 @@ let signatures ?pool ?(divergent = [||]) fwd (p : Partition.t) =
   sigs
 
 let refine ?pool ?divergent collapsed =
+  Obs.span "kern.branching" @@ fun () ->
   let n = Lts.nb_states collapsed in
   let fwd = Csr.forward collapsed in
   let table = Sig_table.create () in
+  let rounds = Obs.counter "kern.branching.rounds" in
   let rec loop (p : Partition.t) =
+    Obs.incr rounds;
     Sig_table.reset table;
     let sigs = signatures ?pool ?divergent fwd p in
     let block_of = Array.make n 0 in
@@ -144,7 +148,9 @@ let refine ?pool ?divergent collapsed =
     let p' : Partition.t = { block_of; count = Sig_table.count table } in
     if p'.count = p.count then p' else loop p'
   in
-  loop (Partition.trivial n)
+  let p = loop (Partition.trivial n) in
+  Obs.set (Obs.gauge "kern.branching.blocks") (float_of_int p.count);
+  p
 
 (* A state diverges iff some tau path reaches a tau-cycle: close the
    SCC-level divergence backwards over the collapsed tau DAG

@@ -20,7 +20,11 @@
     (collapsed) states: states are batched by height in the inert-tau
     DAG and every batch's signatures are computed on all pool domains.
     The partition, quotient and verdict are identical to the
-    sequential ones. *)
+    sequential ones.
+
+    Observability: span [kern.branching] (one per refinement), counter
+    [kern.branching.rounds] (signature rounds) and gauge
+    [kern.branching.blocks] (blocks of the last partition). *)
 
 (** Coarsest branching-bisimulation partition of the {e original}
     states. With [divergence_sensitive:true] (default [false]) the

@@ -6,21 +6,18 @@ module Refine = Mv_kern.Refine
 (* The Mv_kern splitter-worklist engine touches, per splitter, only the
    predecessors of the splitter's states — no per-round full-signature
    recomputation — and renumbers the final blocks by first occurrence
-   in state order. Under a pool it gathers splitter predecessors in
-   parallel (round-based batches); the partition it returns is
-   byte-identical at every pool size. *)
-let partition ?pool lts =
+   in state order. *)
+let partition lts =
   let block_of, count =
-    Refine.strong ~pool
+    Refine.strong ~pool:None
       ~nb_labels:(Label.count (Lts.labels lts))
       ~fwd:(Csr.forward lts) ~rev:(Csr.reverse lts)
   in
   { Partition.block_of; count }
 
-let minimize ?pool lts =
-  Lts.restrict_reachable (Quotient.strong lts (partition ?pool lts))
+let minimize lts = Lts.restrict_reachable (Quotient.strong lts (partition lts))
 
-let equivalent ?pool a b =
+let equivalent a b =
   let union, offset = Union.disjoint a b in
-  let p = partition ?pool union in
+  let p = partition union in
   Partition.same_block p (Lts.initial a) (offset + Lts.initial b)

@@ -51,12 +51,11 @@ let saturate lts =
   let triples = Hashtbl.fold (fun (s, l, t) () acc -> (s, l, t) :: acc) transitions [] in
   Lts.make ~nb_states:n ~initial:(Lts.initial lts) ~labels:(Lts.labels lts) triples
 
-let partition ?pool lts = Strong.partition ?pool (saturate lts)
+let partition lts = Strong.partition (saturate lts)
 
-let minimize ?pool lts =
-  Lts.restrict_reachable (Quotient.weak lts (partition ?pool lts))
+let minimize lts = Lts.restrict_reachable (Quotient.weak lts (partition lts))
 
-let equivalent ?pool a b =
+let equivalent a b =
   let union, offset = Union.disjoint a b in
-  let p = partition ?pool union in
+  let p = partition union in
   Partition.same_block p (Lts.initial a) (offset + Lts.initial b)

@@ -11,15 +11,14 @@
     transition count, so prefer {!Branching} (cheaper and finer —
     almost always what the flow needs); this module exists for
     CADP-parity and for the rare systems where branching is too
-    strong. The optional [pool] parallelizes the strong refinement of
-    the saturation (see {!Strong}). *)
+    strong. *)
 
 (** Coarsest weak-bisimulation partition of the original states. *)
-val partition : ?pool:Mv_par.Pool.t -> Mv_lts.Lts.t -> Partition.t
+val partition : Mv_lts.Lts.t -> Partition.t
 
 (** Quotient by weak bisimilarity (built on the original transitions,
     inert taus dropped), restricted to reachable states. *)
-val minimize : ?pool:Mv_par.Pool.t -> Mv_lts.Lts.t -> Mv_lts.Lts.t
+val minimize : Mv_lts.Lts.t -> Mv_lts.Lts.t
 
 (** Weak bisimilarity of the initial states of two LTSs. *)
-val equivalent : ?pool:Mv_par.Pool.t -> Mv_lts.Lts.t -> Mv_lts.Lts.t -> bool
+val equivalent : Mv_lts.Lts.t -> Mv_lts.Lts.t -> bool

@@ -143,6 +143,14 @@ module Run = struct
      construct is generated as one leaf. *)
   let generate_compositional (config : Config.t) spec =
     let max_states = config.max_states in
+    (* every step is bounded like a monolithic exploration *)
+    let check ~states =
+      budget_states config states;
+      match max_states with
+      | Some bound when states > bound ->
+        raise (Mv_lts.Explore.Too_many_states bound)
+      | Some _ | None -> ()
+    in
     let evaluate () =
       let leaf_counter = ref 0 in
       let rec decompose (behavior : Mv_calc.Ast.behavior) =
@@ -163,8 +171,8 @@ module Run = struct
               Mv_calc.State_space.lts ?tick:(budget_probe config) ?max_states
                 { spec with Mv_calc.Ast.init = behavior } )
       in
-      Mv_compose.Net.evaluate ~plan:config.compose_plan
-        ?tick:(budget_probe config) ~strategy:`Compositional
+      Mv_compose.Net.evaluate ~plan:config.compose_plan ~tick:check
+        ~strategy:`Compositional
         (decompose spec.Mv_calc.Ast.init)
     in
     match config.cache with
@@ -190,7 +198,7 @@ module Run = struct
         with
         | Some result ->
           (* a cached product is checked like a composed one *)
-          budget_states config (Lts.nb_states result);
+          check ~states:(Lts.nb_states result);
           {
             Mv_compose.Net.result;
             steps =
@@ -274,8 +282,8 @@ module Run = struct
     let rev = Mv_kern.Csr.reverse_iter ~mode ~n ~m iter in
     let labels = Mv_store.Mvb.Segment.labels seg in
     let block_of, count =
-      Mv_kern.Refine.strong ~pool:config.pool
-        ~nb_labels:(Label.count labels) ~fwd ~rev
+      Mv_kern.Refine.strong ~pool:None ~nb_labels:(Label.count labels) ~fwd
+        ~rev
     in
     (* quotient without materializing the input: one more segment
        sweep, deduplicating mapped transitions as they appear (the
@@ -327,11 +335,11 @@ module Run = struct
   let minimize_uncached (config : Config.t) equivalence lts =
     let pool = config.pool in
     match equivalence with
-    | Strong -> Mv_bisim.Strong.minimize ?pool lts
+    | Strong -> Mv_bisim.Strong.minimize lts
     | Branching -> Mv_bisim.Branching.minimize ?pool lts
     | Divbranching ->
       Mv_bisim.Branching.minimize ?pool ~divergence_sensitive:true lts
-    | Weak -> Mv_bisim.Weak.minimize ?pool lts
+    | Weak -> Mv_bisim.Weak.minimize lts
     | Traces -> Mv_bisim.Traces.determinize lts
 
   let minimize (config : Config.t) equivalence lts =
@@ -348,11 +356,11 @@ module Run = struct
     budget_states config (Lts.nb_states a + Lts.nb_states b);
     let pool = config.pool in
     match equivalence with
-    | Strong -> Mv_bisim.Strong.equivalent ?pool a b
+    | Strong -> Mv_bisim.Strong.equivalent a b
     | Branching -> Mv_bisim.Branching.equivalent ?pool a b
     | Divbranching ->
       Mv_bisim.Branching.equivalent ?pool ~divergence_sensitive:true a b
-    | Weak -> Mv_bisim.Weak.equivalent ?pool a b
+    | Weak -> Mv_bisim.Weak.equivalent a b
     | Traces -> Mv_bisim.Traces.equivalent a b
 
   let verify (config : Config.t) spec properties =
@@ -418,8 +426,8 @@ module Run = struct
         lazy
           (Obs.span "flow.solve" (fun () ->
                budget_tick config;
-               Ctmc.steady_state_stats ?pool:config.pool
-                 ?method_:config.solve_method conversion.To_ctmc.ctmc));
+               Ctmc.steady_state_stats ?method_:config.solve_method
+                 conversion.To_ctmc.ctmc));
     }
 
   let performance (config : Config.t) spec =

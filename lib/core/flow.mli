@@ -40,9 +40,10 @@ module Config : sig
       [Config.(default |> with_max_states 100_000 |> with_keep ["get"])]. *)
   type t = {
     pool : Mv_par.Pool.t option;
-        (** worker pool for minimization, solving and simulation
-            ([-j]); results are identical at every pool size.
-            Generation is sequential and never reads it. *)
+        (** worker pool for the branching-family minimizations and
+            comparisons ([-j]); results are identical at every pool
+            size. Generation, strong and weak minimization and the
+            steady-state solve are sequential and never read it. *)
     max_states : int option;  (** exploration bound for generation *)
     hide : string list;  (** gates abstracted to tau ({!Run.verify}) *)
     keep : string list;
@@ -142,11 +143,14 @@ module Run : sig
       ({!Mv_compose.Net}). The result is branching-equivalent to
       {!generate} but the peak intermediate size can be exponentially
       smaller. Only [|\[...\]|] and [hide] nodes are split; any other
-      construct becomes a leaf. [config.budget]'s state limit is
-      checked on every leaf, product and minimization step. With a
-      cache, only the final LTS is memoized: a hit is checked against
-      the budget too, and returns a report with one synthetic step and
-      [peak_states] equal to the result size. *)
+      construct becomes a leaf. [config.max_states] and
+      [config.budget]'s state limit are checked on every leaf,
+      product, hiding and minimization step: a step over
+      [max_states] raises {!Mv_lts.Explore.Too_many_states}, as
+      {!generate} does. With a cache, only the final LTS is memoized:
+      a hit is checked against both bounds too, and returns a report
+      with one synthetic step and [peak_states] equal to the result
+      size. *)
   val generate_compositional :
     Config.t -> Mv_calc.Ast.spec -> Mv_compose.Net.report
 
@@ -192,10 +196,8 @@ module Run : sig
 
   (** The performance pipeline. Gates in [config.keep] stay visible
       through hiding and become the action tags available for
-      throughput queries; every other gate is hidden. When a pool is
-      configured it is captured by the [steady] lazy, so force it
-      (e.g. via {!throughputs}) before shutting the pool down. The
-      lumping step is memoized through [config.cache]. *)
+      throughput queries; every other gate is hidden. The lumping
+      step is memoized through [config.cache]. *)
   val performance : Config.t -> Mv_calc.Ast.spec -> performance
 
   (** Same pipeline entered at the IMC level (for compositionally

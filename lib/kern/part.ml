@@ -29,9 +29,6 @@ let block_of t s = t.blk.(s)
 let size t b = t.last_.(b) - t.first.(b)
 let marked t b = t.mid.(b) - t.first.(b)
 
-let slice t b = (t.first.(b), t.last_.(b))
-let element t i = t.elems.(i)
-
 let iter_block t b f =
   for i = t.first.(b) to t.last_.(b) - 1 do
     f t.elems.(i)

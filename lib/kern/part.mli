@@ -26,18 +26,6 @@ val marked : t -> int -> int
 (** Iterate over the states of a block (unspecified order). *)
 val iter_block : t -> int -> (int -> unit) -> unit
 
-(** [slice p b] — the [(first, last)] element-array bounds of [b]'s
-    slice (half-open). Splitting never moves states outside the
-    parent's slice, so a recorded slice stays a valid snapshot of the
-    block's extent-at-recording even after later splits — the
-    parallel refinement engine leans on this. *)
-val slice : t -> int -> int * int
-
-(** [element p i] — the state at position [i] of the element array
-    (valid between mutations; {!mark} and {!split_marked} permute
-    positions within the touched block's slice only). *)
-val element : t -> int -> int
-
 (** [mark p s] marks [s] inside its block; no-op if already marked. *)
 val mark : t -> int -> unit
 

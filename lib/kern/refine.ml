@@ -1,13 +1,8 @@
 module Obs = Mv_obs.Obs
 
-(* Both engines compute the coarsest strong bisimulation partition and
-   renumber it canonically (Part.assignment: by first occurrence in
-   state order). The coarsest partition is unique and neither engine
-   ever splits bisimilar states, so the returned arrays are identical
-   — byte for byte — whichever engine ran; callers pick purely on
-   pool size. *)
-
-let strong_sequential ~nb_labels ~fwd ~rev =
+(* The coarsest strong bisimulation partition, renumbered canonically
+   (Part.assignment: by first occurrence in state order). *)
+let refine ~nb_labels ~fwd ~rev =
   let n = Csr.nb_rows fwd in
   let splitters = Obs.counter "kern.splitters" in
   let splits = Obs.counter "kern.splits" in
@@ -131,197 +126,10 @@ let strong_sequential ~nb_labels ~fwd ~rev =
   done;
   Part.assignment p
 
-(* Round-based parallel engine.
-
-   Each round snapshots the whole worklist as a batch, gathers every
-   splitter's labelled predecessors in parallel, then applies marks
-   and splits sequentially in deterministic batch order:
-
-   - Snapshot: per batch block, its element slice [(first, last)]
-     recorded at round start. Part slices never leave the parent's
-     slice when splitting, so the recorded window keeps denoting the
-     block's extent-at-snapshot even while the apply phase splits
-     blocks of the same batch; processing a stale extent means
-     splitting against a union of current blocks, which can never
-     separate bisimilar states (a union of blocks is a union of
-     bisimulation classes) — soundness is order-independent.
-   - Gather: workers claim batch slots by fetch-and-add and write each
-     splitter's (label, predecessor) pairs — counting-sorted by label
-     exactly like the sequential engine, in the same deterministic
-     slice x CSR order — into a shared segment array at prefix-summed
-     offsets. Disjoint writes; Part is read-only during this phase.
-   - Apply: batch order, label-group order within a splitter, same
-     mark/split code as the sequential engine. Children of a split are
-     enqueued for the next round; the smaller-half rule is {e not}
-     used here (its invariant assumes current extents, not snapshots),
-     so this engine trades some redundant splitter work for the
-     parallel gather.
-
-   Stability of every block against every block holds when the queue
-   empties (any split re-enqueues enough cover: the child always, the
-   parent unless still queued), so the result is the coarsest — i.e.
-   the same — partition. *)
-let strong_parallel pool ~nb_labels ~fwd ~rev =
-  let n = Csr.nb_rows fwd in
-  let splitters = Obs.counter "kern.splitters" in
-  let splits = Obs.counter "kern.splits" in
-  let qlen = Obs.series "kern.queue" in
-  let rounds = Obs.counter "kern.rounds" in
-  ignore (Csr.deterministic fwd);
-  let p = Part.create n in
-  let queue = Array.make n 0 in
-  let qtop = ref 0 in
-  let in_queue = Array.make n false in
-  let enqueue b =
-    if not in_queue.(b) then begin
-      in_queue.(b) <- true;
-      queue.(!qtop) <- b;
-      incr qtop
-    end
-  in
-  enqueue 0;
-  let batch = Array.make n 0 in
-  let snap_lo = Array.make n 0 in
-  let snap_hi = Array.make n 0 in
-  let offsets = Array.make (n + 1) 0 in
-  let seg_l = ref (Array.make 1024 0) in
-  let seg_s = ref (Array.make 1024 0) in
-  let touched = Array.make n 0 in
-  let indeg d = Arr.get rev.Csr.row (d + 1) - Arr.get rev.Csr.row d in
-  while !qtop > 0 do
-    let nb_batch = !qtop in
-    Obs.incr rounds;
-    Obs.push qlen (float_of_int nb_batch);
-    Array.blit queue 0 batch 0 nb_batch;
-    qtop := 0;
-    (* snapshot extents and prefix-sum the gather offsets *)
-    offsets.(0) <- 0;
-    for j = 0 to nb_batch - 1 do
-      let b = batch.(j) in
-      in_queue.(b) <- false;
-      let lo, hi = Part.slice p b in
-      snap_lo.(j) <- lo;
-      snap_hi.(j) <- hi;
-      let sz = ref 0 in
-      for i = lo to hi - 1 do
-        sz := !sz + indeg (Part.element p i)
-      done;
-      offsets.(j + 1) <- offsets.(j) + !sz
-    done;
-    let total = offsets.(nb_batch) in
-    if total > Array.length !seg_l then begin
-      let cap = max total (2 * Array.length !seg_l) in
-      seg_l := Array.make cap 0;
-      seg_s := Array.make cap 0
-    end;
-    let seg_l = !seg_l and seg_s = !seg_s in
-    (* parallel gather: workers claim splitters dynamically *)
-    let cursor = Atomic.make 0 in
-    Mv_par.Pool.run pool (fun _w ->
-        let label_cnt = Array.make (max nb_labels 1) 0 in
-        let label_end = Array.make (max nb_labels 1) 0 in
-        let present = Array.make (max nb_labels 1) 0 in
-        let tmp_l = ref (Array.make 1024 0) in
-        let tmp_s = ref (Array.make 1024 0) in
-        let rec claim () =
-          let j = Atomic.fetch_and_add cursor 1 in
-          if j < nb_batch then begin
-            let len = offsets.(j + 1) - offsets.(j) in
-            if len > 0 then begin
-              if len > Array.length !tmp_l then begin
-                let cap = max len (2 * Array.length !tmp_l) in
-                tmp_l := Array.make cap 0;
-                tmp_s := Array.make cap 0
-              end;
-              let tmp_l = !tmp_l and tmp_s = !tmp_s in
-              let k = ref 0 in
-              for i = snap_lo.(j) to snap_hi.(j) - 1 do
-                let d = Part.element p i in
-                for e = Arr.get rev.Csr.row d to Arr.get rev.Csr.row (d + 1) - 1
-                do
-                  tmp_l.(!k) <- Arr.get rev.Csr.lbl e;
-                  tmp_s.(!k) <- Arr.get rev.Csr.col e;
-                  incr k
-                done
-              done;
-              let nb_present = ref 0 in
-              for i = 0 to len - 1 do
-                let l = tmp_l.(i) in
-                if label_cnt.(l) = 0 then begin
-                  present.(!nb_present) <- l;
-                  incr nb_present
-                end;
-                label_cnt.(l) <- label_cnt.(l) + 1
-              done;
-              let off = ref 0 in
-              for q = 0 to !nb_present - 1 do
-                let l = present.(q) in
-                off := !off + label_cnt.(l);
-                label_end.(l) <- !off
-              done;
-              let base = offsets.(j) in
-              for i = len - 1 downto 0 do
-                let l = tmp_l.(i) in
-                let pos = label_end.(l) - 1 in
-                label_end.(l) <- pos;
-                seg_l.(base + pos) <- l;
-                seg_s.(base + pos) <- tmp_s.(i)
-              done;
-              for q = 0 to !nb_present - 1 do
-                label_cnt.(present.(q)) <- 0
-              done
-            end;
-            claim ()
-          end
-        in
-        claim ());
-    (* sequential apply, in deterministic batch order *)
-    for j = 0 to nb_batch - 1 do
-      Obs.incr splitters;
-      let stop = offsets.(j + 1) in
-      let i = ref offsets.(j) in
-      while !i < stop do
-        let l = seg_l.(!i) in
-        let nb_touched = ref 0 in
-        while !i < stop && seg_l.(!i) = l do
-          let s = seg_s.(!i) in
-          incr i;
-          let bs = Part.block_of p s in
-          if Part.size p bs > 1 then begin
-            if Part.marked p bs = 0 then begin
-              touched.(!nb_touched) <- bs;
-              incr nb_touched
-            end;
-            Part.mark p s
-          end
-        done;
-        for t = 0 to !nb_touched - 1 do
-          let x = touched.(t) in
-          match Part.split_marked p x with
-          | -1 -> ()
-          | c ->
-            Obs.incr splits;
-            if in_queue.(x) then enqueue c
-            else begin
-              let smaller, larger =
-                if Part.size p c <= Part.size p x then (c, x) else (x, c)
-              in
-              enqueue larger;
-              enqueue smaller
-            end
-        done
-      done
-    done
-  done;
-  Part.assignment p
-
-(* Below this the parallel gather cannot pay for its round structure. *)
-let parallel_threshold = 1024
-
-let strong ~pool ~nb_labels ~fwd ~rev =
-  Obs.span "kern.strong" @@ fun () ->
-  match pool with
-  | Some pool
-    when Mv_par.Pool.size pool > 1 && Csr.nb_rows fwd > parallel_threshold ->
-    strong_parallel pool ~nb_labels ~fwd ~rev
-  | _ -> strong_sequential ~nb_labels ~fwd ~rev
+(* [refine] reads [fwd] only before its worklist starts, and [strong]
+   tail-calls it, so no frame here keeps [fwd] reachable while the
+   worklist runs: out of core, the GC may then release its mmap'd
+   scratch. A body inside the span's closure would hold [fwd] (through
+   the closure) to the end. *)
+let strong ~pool:_ ~nb_labels ~fwd ~rev =
+  Obs.span "kern.strong" @@ fun () -> refine ~nb_labels ~fwd ~rev

@@ -7,8 +7,7 @@
     predecessors of its states through the reverse CSR index, grouping
     them per label and splitting their blocks at the mark boundary.
 
-    Queueing discipline (sequential engine): when a block [X] splits
-    into [X] and [C],
+    Queueing discipline: when a block [X] splits into [X] and [C],
     - if [X] was still queued, only [C] is added (splitting against
       both halves separately subsumes splitting against old [X]);
     - if every label is deterministic (at most one successor per
@@ -24,28 +23,16 @@
     blocks, and the labelled predecessor set of a union of
     bisimulation classes never separates bisimilar states.
 
-    Parallel engine (selected by [?pool] above a size threshold):
-    round-based. The whole worklist becomes one batch; every batch
-    splitter's labelled predecessors are gathered — and counting-sorted
-    by label, in the same deterministic order as the sequential engine
-    — by the pool workers in parallel against a read-only snapshot of
-    the partition, then all marks and splits are applied sequentially
-    in batch order. Split children go to the next round's batch (the
-    smaller-half shortcut is disabled; see refine.ml for the
-    soundness/termination argument). Both engines converge on the
-    {e unique} coarsest partition and renumber it identically, so the
-    returned arrays are byte-identical at every [-j N].
-
     Observability: counters [kern.splitters] (splitter blocks
     processed) and [kern.splits] (blocks cut), series [kern.queue]
-    (worklist length at each pop / round), span [kern.strong];
-    the parallel engine also counts [kern.rounds]. *)
+    (worklist length at each pop), span [kern.strong]. *)
 
-(** [strong ~nb_labels ~fwd ~rev] computes the coarsest strong
-    bisimulation partition. Returns [(block_of, count)] with block ids
-    renumbered by first occurrence in state order — the exact numbering
-    of the legacy signature-refinement engine, making the resulting
-    quotient LTSs byte-identical (at any pool size). *)
+(** [strong ~pool ~nb_labels ~fwd ~rev] computes the coarsest strong
+    bisimulation partition, sequentially. Returns [(block_of, count)]
+    with block ids renumbered by first occurrence in state order — the
+    exact numbering of the legacy signature-refinement engine, making
+    the resulting quotient LTSs byte-identical. [pool] is ignored; it
+    stays for callers written against the engine that used it. *)
 val strong :
   pool:Mv_par.Pool.t option ->
   nb_labels:int ->

@@ -21,124 +21,26 @@ type config = {
   method_ : method_ option;
   tolerance : float;
   max_sweeps : int;
-  pool : Mv_par.Pool.t option;
 }
 
-let config ?method_ ?(tolerance = 1e-13) ?(max_sweeps = 200_000) ?pool () =
-  { method_; tolerance; max_sweeps; pool }
+let config ?method_ ?(tolerance = 1e-13) ?(max_sweeps = 200_000) () =
+  { method_; tolerance; max_sweeps }
 
 type outcome = { sweeps : int; residual : float; converged : bool }
 
-(* Minimum color-class size worth fanning out; below it the loop-setup
-   overhead beats the body. *)
-let parallel_class_threshold = 512
-
-(* Greedy multi-coloring of the conflict graph: states [i] and [j]
-   conflict when a transition connects them in either direction, so
-   within one color class no update reads another's write. Gauss-Seidel
-   is then run in colored order — class 0 ascending, class 1
-   ascending, ... — by {e every} configuration: at [-j 1] the permuted
-   sweep is simply executed sequentially, at [-j N] each class is a
-   parallel loop over disjoint slots, so the arithmetic (and hence the
-   iterate sequence) is bitwise identical at any pool size. Returns
-   [(order, class_start, nb_colors)] with class [c] occupying
-   [order.(class_start.(c)) .. order.(class_start.(c + 1) - 1)]. *)
-let coloring sys =
-  let k = sys.size in
-  let nb_in = Array.length sys.in_src in
-  (* transpose the in-CSR to get out-adjacency *)
-  let out_row = Array.make (k + 1) 0 in
-  for e = 0 to nb_in - 1 do
-    let i = sys.in_src.(e) in
-    out_row.(i + 1) <- out_row.(i + 1) + 1
-  done;
-  for j = 1 to k do
-    out_row.(j) <- out_row.(j) + out_row.(j - 1)
-  done;
-  let out_dst = Array.make nb_in 0 in
-  let cursor = Array.copy out_row in
-  for j = 0 to k - 1 do
-    for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
-      let i = sys.in_src.(e) in
-      out_dst.(cursor.(i)) <- j;
-      cursor.(i) <- cursor.(i) + 1
-    done
-  done;
-  let degree j =
-    sys.in_row.(j + 1) - sys.in_row.(j) + out_row.(j + 1) - out_row.(j)
-  in
-  let max_degree = ref 0 in
-  for j = 0 to k - 1 do
-    if degree j > !max_degree then max_degree := degree j
-  done;
-  let color = Array.make (max k 1) 0 in
-  let used = Array.make (!max_degree + 2) (-1) in
-  let nb_colors = ref (min 1 k) in
-  for j = 0 to k - 1 do
-    for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
-      let i = sys.in_src.(e) in
-      if i < j then used.(color.(i)) <- j
-    done;
-    for e = out_row.(j) to out_row.(j + 1) - 1 do
-      let d = out_dst.(e) in
-      if d < j then used.(color.(d)) <- j
-    done;
-    let c = ref 0 in
-    while used.(!c) = j do
-      incr c
-    done;
-    color.(j) <- !c;
-    if !c + 1 > !nb_colors then nb_colors := !c + 1
-  done;
-  let nb_colors = !nb_colors in
-  let class_start = Array.make (nb_colors + 1) 0 in
-  for j = 0 to k - 1 do
-    class_start.(color.(j) + 1) <- class_start.(color.(j) + 1) + 1
-  done;
-  for c = 1 to nb_colors do
-    class_start.(c) <- class_start.(c) + class_start.(c - 1)
-  done;
-  let order = Array.make (max k 1) 0 in
-  let fill = Array.copy class_start in
-  for j = 0 to k - 1 do
-    order.(fill.(color.(j))) <- j;
-    fill.(color.(j)) <- fill.(color.(j)) + 1
-  done;
-  (order, class_start, nb_colors)
-
-(* The largest entry of [residual] (0.0 when empty). The sweep bodies
-   sum a state's inflow into a local accumulator and this max is kept
-   in one too, so that a sweep boxes no float per state. *)
-let max_residual residual =
-  let m = ref 0.0 in
-  for j = 0 to Array.length residual - 1 do
-    if residual.(j) > !m then m := residual.(j)
-  done;
-  !m
-
-(* The colored Gauss-Seidel sweeps, in place on [pi] until the residual
-   reaches the tolerance or the sweep budget runs out. *)
+(* Gauss-Seidel sweeps in the system's own state order, in place on
+   [pi] until the residual reaches the tolerance or the sweep budget
+   runs out. Each update reads the values already updated in the same
+   sweep, so a correction travels along increasing state ids within
+   one sweep: in BFS order, all the way round a cycle. The inflow sum
+   and the residual max are kept in local accumulators, so a sweep
+   boxes no float per state. *)
 let sweep cfg sys pi =
   let k = sys.size in
   let sweeps = ref 0 in
   let delta = ref infinity in
   let residual_series = Obs.series "solver.residual" in
   let first_delta = ref 0.0 in
-  let record_sweep () =
-    Obs.push residual_series !delta;
-    if !first_delta = 0.0 then first_delta := !delta;
-    if !sweeps land 255 = 0 then
-      Obs.progress (fun () ->
-          Printf.sprintf "solve: sweep %d, residual %.3g" !sweeps !delta)
-  in
-  let pool =
-    match cfg.pool with
-    | Some pool when Mv_par.Pool.size pool > 1 -> Some pool
-    | _ -> None
-  in
-  (* The residual max and the normalization sums are always sequential
-     in ascending state order, so they cost the same float operations
-     in the same order at every pool size. *)
   let normalize () =
     let total = ref 0.0 in
     for j = 0 to k - 1 do
@@ -150,73 +52,29 @@ let sweep cfg sys pi =
       done
     else Array.fill pi 0 k (1.0 /. float_of_int k)
   in
-  let order, class_start, nb_colors = coloring sys in
-  Obs.set (Obs.gauge "solver.colors") (float_of_int nb_colors);
-  let residual = Array.make (max k 1) 0.0 in
-  (* The colored order is periodic on bipartite conflict graphs (a
-     pure cycle: each class only feeds the other, so the sweep operator
-     keeps unit-modulus eigenvalues that natural-order propagation
-     would have damped). Watch the best residual reached; when it stops
-     improving, drop to an under-relaxed sweep (omega 0.7): damping
-     moves every unit-circle eigenvalue except the stationary one
-     strictly inside, restoring convergence. The switch is driven only
-     by the residual sequence, which is bitwise identical at every pool
-     size, so determinism is preserved. *)
-  let omega = ref 1.0 in
-  let best = ref infinity in
-  let stall = ref 0 in
-  let diverging () =
-    if not (Float.is_finite !delta) then true
-    else if !delta < 0.999 *. !best then begin
-      (* a meaningful improvement, not just oscillation noise *)
-      best := !delta;
-      stall := 0;
-      false
-    end
-    else begin
-      if !delta < !best then best := !delta;
-      incr stall;
-      !stall >= 200
-    end
-  in
-  let body idx =
-    let j = order.(idx) in
-    if sys.exit.(j) > 0.0 then begin
-      let flow = ref 0.0 in
-      for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
-        flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
-      done;
-      let updated = !flow /. sys.exit.(j) in
-      residual.(j) <- abs_float (updated -. pi.(j));
-      pi.(j) <-
-        (if !omega = 1.0 then updated
-         else ((1.0 -. !omega) *. pi.(j)) +. (!omega *. updated))
-    end
-    else residual.(j) <- 0.0
-  in
-  let continue_ = ref true in
-  while !continue_ && !sweeps < cfg.max_sweeps do
-    for c = 0 to nb_colors - 1 do
-      let lo = class_start.(c) and hi = class_start.(c + 1) in
-      match pool with
-      | Some pool when hi - lo > parallel_class_threshold ->
-        Mv_par.Pool.for_ ~pool ~lo ~hi body
-      | _ ->
-        for idx = lo to hi - 1 do
-          body idx
-        done
+  while (Float.is_nan !delta || !delta > cfg.tolerance) && !sweeps < cfg.max_sweeps
+  do
+    let m = ref 0.0 in
+    for j = 0 to k - 1 do
+      if sys.exit.(j) > 0.0 then begin
+        let flow = ref 0.0 in
+        for i = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+          flow := !flow +. (pi.(sys.in_src.(i)) *. sys.in_rate.(i))
+        done;
+        let updated = !flow /. sys.exit.(j) in
+        let r = abs_float (updated -. pi.(j)) in
+        if r > !m then m := r;
+        pi.(j) <- updated
+      end
     done;
-    delta := max_residual residual;
+    delta := !m;
     normalize ();
     incr sweeps;
-    record_sweep ();
-    if !omega = 1.0 && diverging () then begin
-      omega := 0.7;
-      best := infinity;
-      stall := 0;
-      delta := infinity
-    end;
-    continue_ := Float.is_nan !delta || !delta > cfg.tolerance
+    Obs.push residual_series !delta;
+    if !first_delta = 0.0 then first_delta := !delta;
+    if !sweeps land 255 = 0 then
+      Obs.progress (fun () ->
+          Printf.sprintf "solve: sweep %d, residual %.3g" !sweeps !delta)
   done;
   Obs.add (Obs.counter "solver.iterations") !sweeps;
   Obs.set (Obs.gauge "solver.final_residual") !delta;

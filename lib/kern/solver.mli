@@ -32,37 +32,28 @@
     pivot is 0 (the system is not irreducible) or the residual is above
     the tolerance, [Gauss_seidel] continues from the eliminated vector
     (from [pi] as given after a zero pivot). The choice depends only
-    on the system, never on the pool.
+    on the system.
 
     Forcing [method_ = Some Gauss_seidel] skips the direct solve.
     [mval solve --method gs] forces it for the steady-state solves
     (each BSCC, and the absorption solve of a chain with several), not
     for the passage-time renewal solve of [--time-to-first], which
-    takes no method. [Gauss_seidel] runs in-place sweeps in
-    {e colored order}: a greedy multi-coloring of the transition
-    conflict graph groups states so that no state reads a same-class
-    write, then every configuration sweeps class 0 ascending, class 1
-    ascending, ... At [-j 1] that permuted sweep runs sequentially;
-    under a pool each class is a parallel loop over disjoint slots, and
-    the residual max and normalization sums stay sequential — so the
-    iterate sequence is {e bitwise identical at any pool size}. On
-    bipartite conflict graphs (e.g. pure cycles) the colored sweep can
-    oscillate instead of contracting; a residual-stall detector then
-    drops to an under-relaxed (0.7) sweep, which is convergent — the
-    detector reads only the (pool-size-independent) residual sequence,
-    so the bitwise guarantee stands.
+    takes no method. [Gauss_seidel] runs sequential in-place sweeps in
+    the system's own state order (BFS order from {!Mv_markov.Ctmc}):
+    each update reads the values already updated in the same sweep, so
+    a correction travels all the way round a cycle in one sweep.
 
-    The residual tested against [tolerance] is the unrelaxed one,
+    The residual tested against [tolerance] is
     [max_j |update_j - pi_j|], for the direct solve as for the sweeps.
     {!Mv_markov.Ctmc} sends every Markov quantity through {!run}: the
     stationary vector of each BSCC, and the renewal chains behind
     passage times, accumulated rewards and absorption probabilities.
 
     Observability: per-sweep [solver.residual] series,
-    [solver.iterations] counter, [solver.final_residual],
-    [solver.contraction] and [solver.colors] gauges; for the direct
-    path the [solver.direct] and [solver.direct_fallbacks] counters and
-    the [solver.bandwidth_lower] / [solver.bandwidth_upper] gauges. *)
+    [solver.iterations] counter, [solver.final_residual] and
+    [solver.contraction] gauges; for the direct path the
+    [solver.direct] and [solver.direct_fallbacks] counters and the
+    [solver.bandwidth_lower] / [solver.bandwidth_upper] gauges. *)
 
 type method_ = Gauss_seidel
 
@@ -89,20 +80,12 @@ type config = {
           [Gauss_seidel] otherwise *)
   tolerance : float;
   max_sweeps : int;
-  pool : Mv_par.Pool.t option;
-      (** parallel sweeps when [size > 1]; results are bitwise
-          identical with or without it *)
 }
 
 (** [config ()] — no forced method, tolerance [1e-13], max sweeps
-    [200_000], no pool. *)
+    [200_000]. *)
 val config :
-  ?method_:method_ ->
-  ?tolerance:float ->
-  ?max_sweeps:int ->
-  ?pool:Mv_par.Pool.t ->
-  unit ->
-  config
+  ?method_:method_ -> ?tolerance:float -> ?max_sweeps:int -> unit -> config
 
 (** [sweeps] is [0] when the direct solve's result passed the
     residual check. *)
@@ -130,8 +113,3 @@ val bandwidths : system -> int * int
 (** Exposed for tests: whether [run] with no forced method eliminates
     [system]. *)
 val eliminates : system -> bool
-
-(** Exposed for tests: the colored order used by [Gauss_seidel]
-    — [(order, class_start, nb_colors)]; within a class no two states
-    are connected by a transition. *)
-val coloring : system -> int array * int array * int

@@ -142,14 +142,12 @@ let local_system ?(border = 0) t ~roots subset =
 
 (* The stationary vector of a local system by Mv_kern.Solver.run, which
    eliminates narrow systems and sweeps the others unless [method_]
-   forces the sweeps (any pool size gives bit-identical vectors),
-   scattered back to the [nb_states] global ids. *)
-let solve_local ?pool ?method_ ~tolerance ~max_iterations ~nb_states
-    (glob, sys) =
+   forces the sweeps, scattered back to the [nb_states] global ids. *)
+let solve_local ?method_ ~tolerance ~max_iterations ~nb_states (glob, sys) =
   let local = Array.make sys.Solver.size (1.0 /. float_of_int sys.size) in
   let outcome =
     Solver.run
-      (Solver.config ?method_ ~tolerance ~max_sweeps:max_iterations ?pool ())
+      (Solver.config ?method_ ~tolerance ~max_sweeps:max_iterations ())
       sys local
   in
   let pi = Array.make nb_states 0.0 in
@@ -165,7 +163,7 @@ let solve_local ?pool ?method_ ~tolerance ~max_iterations ~nb_states
 (* Stationary solve restricted to an irreducible subset,
    pi_j = (sum_{i in subset, i<>j} pi_i q_ij) / E_j, in BFS order from
    its first state. *)
-let steady_state_on_subset t ?pool ?method_ ~tolerance ~max_iterations subset =
+let steady_state_on_subset t ?method_ ~tolerance ~max_iterations subset =
   match subset with
   | [] -> invalid_arg "Ctmc.steady_state_on_subset: empty"
   | [ s ] ->
@@ -173,8 +171,7 @@ let steady_state_on_subset t ?pool ?method_ ~tolerance ~max_iterations subset =
     pi.(s) <- 1.0;
     (pi, Solver_stats.exact)
   | first :: _ ->
-    solve_local ?pool ?method_ ~tolerance ~max_iterations
-      ~nb_states:t.nb_states
+    solve_local ?method_ ~tolerance ~max_iterations ~nb_states:t.nb_states
       (local_system t ~roots:[ first ] subset)
 
 (* The renewal chain of [classes] (disjoint lists of states not holding
@@ -191,7 +188,7 @@ let steady_state_on_subset t ?pool ?method_ ~tolerance ~max_iterations subset =
    first in the local order, as the system's border: every state that
    enters a class feeds a node, wherever it lies in the BFS order, so a
    node's column is kept dense and the band stays the chain's own. *)
-let renewal ?pool ?method_ ~tolerance ~max_iterations t classes =
+let renewal ?method_ ~tolerance ~max_iterations t classes =
   let n = t.nb_states in
   let class_of = Array.make n (-1) in
   List.iteri (fun c members -> List.iter (fun s -> class_of.(s) <- c) members)
@@ -216,14 +213,14 @@ let renewal ?pool ?method_ ~tolerance ~max_iterations t classes =
   | Some members when List.exists (fun s -> s >= n) members ->
     let nodes = List.filter (fun s -> s >= n) members in
     Some
-      (solve_local ?pool ?method_ ~tolerance ~max_iterations
+      (solve_local ?method_ ~tolerance ~max_iterations
          ~nb_states:chain.nb_states
          (local_system chain ~border:(List.length nodes)
             ~roots:(nodes @ [ t.initial ]) members))
   | _ -> None
 
-let steady_state_stats ?pool ?method_ ?(tolerance = 1e-13)
-    ?(max_iterations = 200_000) t =
+let steady_state_stats ?method_ ?(tolerance = 1e-13) ?(max_iterations = 200_000)
+    t =
   Obs.span "ctmc.steady_state" @@ fun () ->
   let bottom = bsccs t in
   (* with one BSCC, or a recurrent initial state, one BSCC is the
@@ -235,13 +232,13 @@ let steady_state_stats ?pool ?method_ ?(tolerance = 1e-13)
   in
   match only with
   | Some members ->
-    steady_state_on_subset t ?pool ?method_ ~tolerance ~max_iterations members
+    steady_state_on_subset t ?method_ ~tolerance ~max_iterations members
   | None ->
     (* a finite chain enters some BSCC with probability 1, so the
        renewal chain's BSCC holds the initial state and a node *)
     let n = t.nb_states in
     let visits, renewal_stats =
-      Option.get (renewal ?pool ?method_ ~tolerance ~max_iterations t bottom)
+      Option.get (renewal ?method_ ~tolerance ~max_iterations t bottom)
     in
     let node_mass = ref 0.0 in
     List.iteri (fun c _ -> node_mass := !node_mass +. visits.(n + c)) bottom;
@@ -252,8 +249,8 @@ let steady_state_stats ?pool ?method_ ?(tolerance = 1e-13)
          let alpha = visits.(n + c) /. !node_mass in
          if alpha > 0.0 then begin
            let local, local_stats =
-             steady_state_on_subset t ?pool ?method_ ~tolerance
-               ~max_iterations members
+             steady_state_on_subset t ?method_ ~tolerance ~max_iterations
+               members
            in
            stats := Solver_stats.combine !stats local_stats;
            List.iter (fun s -> pi.(s) <- pi.(s) +. (alpha *. local.(s))) members
@@ -261,8 +258,8 @@ let steady_state_stats ?pool ?method_ ?(tolerance = 1e-13)
       bottom;
     (pi, !stats)
 
-let steady_state ?pool ?method_ ?tolerance ?max_iterations t =
-  fst (steady_state_stats ?pool ?method_ ?tolerance ?max_iterations t)
+let steady_state ?method_ ?tolerance ?max_iterations t =
+  fst (steady_state_stats ?method_ ?tolerance ?max_iterations t)
 
 (* Uniformization: [p_{k+1} = p_k (I + Q / lambda)], where each step
    sums every state's stay term and inflow, over the local system's

@@ -49,10 +49,8 @@ val bsccs : t -> int list list
     {!Mv_kern.Solver.run}, each on a contiguous CSR system of one
     irreducible subset, renumbered in BFS order. By default a subset
     whose band is narrow enough in that order is solved directly
-    (banded GTH elimination) and any other by colored Gauss-Seidel;
-    [method_] forces the sweeps. The choice does not depend on the
-    [pool]: a pool of size [> 1] runs the colored sweeps in parallel,
-    and every method gives bit-identical vectors at any pool size.
+    (banded GTH elimination) and any other by sequential Gauss-Seidel
+    sweeps in that order; [method_] forces the sweeps.
 
     General chains are handled by BSCC decomposition: the steady-state
     vector is the mixture of per-BSCC stationary distributions weighted
@@ -71,7 +69,6 @@ val bsccs : t -> int list list
     and [method_]. *)
 
 val steady_state :
-  ?pool:Mv_par.Pool.t ->
   ?method_:Mv_kern.Solver.method_ ->
   ?tolerance:float ->
   ?max_iterations:int ->
@@ -81,7 +78,6 @@ val steady_state :
 (** Same, plus the solve's {!Solver_stats.t} (sub-solves over multiple
     BSCCs are {!Solver_stats.combine}d). *)
 val steady_state_stats :
-  ?pool:Mv_par.Pool.t ->
   ?method_:Mv_kern.Solver.method_ ->
   ?tolerance:float ->
   ?max_iterations:int ->

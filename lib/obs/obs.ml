@@ -705,7 +705,4 @@ let headlines () =
   (match find_counter "des.events" with
    | Some n when n > 0 -> add "DES events" (string_of_int n)
    | Some _ | None -> ());
-  (match find_counter "par.steals" with
-   | Some n -> add "work steals" (string_of_int n)
-   | None -> ());
   List.rev !items

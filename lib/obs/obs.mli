@@ -247,6 +247,6 @@ val trace_json : unit -> Json.t
 val summary : unit -> string
 
 (** Curated key figures (states explored, states/s, solver iterations
-    and residual, DES events, steal counts ...) for headline display;
-    only metrics that were actually recorded appear. *)
+    and residual, DES events ...) for headline display; only metrics
+    that were actually recorded appear. *)
 val headlines : unit -> (string * string) list

@@ -1,6 +1,5 @@
 type t = {
   size : int;
-  chunk : Chunk.policy;
   mutex : Mutex.t;
   start : Condition.t;
   finished : Condition.t;
@@ -41,13 +40,11 @@ let worker pool index =
     end
   done
 
-let create ?(chunk = Chunk.Auto) ~domains () =
-  Chunk.validate chunk;
+let create ~domains () =
   let size = max 1 domains in
   let pool =
     {
       size;
-      chunk;
       mutex = Mutex.create ();
       start = Condition.create ();
       finished = Condition.create ();
@@ -64,7 +61,6 @@ let create ?(chunk = Chunk.Auto) ~domains () =
   pool
 
 let size pool = pool.size
-let chunk_policy pool = pool.chunk
 
 let run_plain pool f =
   if pool.size = 1 then f 0
@@ -144,97 +140,68 @@ let shutdown pool =
   Array.iter Domain.join pool.domains;
   pool.domains <- [||]
 
-let scope ?chunk ~domains f =
-  let pool = create ?chunk ~domains () in
+let scope ~domains f =
+  let pool = create ~domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 let auto () = Domain.recommended_domain_count ()
 
 (* ------------------------------------------------------------------ *)
-(* Data-parallel loops.
+(* The data-parallel loop.
 
-   The schedule (an ascending array of ranges) is fully laid out
-   before any worker starts, then dealt round-robin into per-worker
-   Chase-Lev deques; each worker drains its own deque bottom-first and
-   sweeps the others stealing top-first. No work is created after the
-   deal, so a full sweep that finds every deque empty is a sound
-   termination condition (an item is always either done, running, or
-   in some deque). *)
+   [[lo, hi)] is cut into chunks of [chunk_size] indices (the last one
+   short) before any worker starts, and a body never creates more
+   work, so one shared cursor is the whole schedule: every worker
+   claims the next claim number by [Atomic.fetch_and_add] until the
+   cursor passes the last one. Timing decides which worker runs a
+   chunk, never which indices a chunk holds.
 
-let resolve pool = function Some policy -> policy | None -> pool.chunk
+   The chunks are laid out as [workers] regions of [rows] consecutive
+   chunks, and claim [k] is chunk [k / workers] of region
+   [k mod workers]. Claims made at about the same time therefore run
+   chunks far apart in the range, so workers do not write the same
+   cache lines: DES replications mutate per-replication RNG records
+   laid out side by side, and handing out neighbouring chunks slowed
+   [mval simulate --replications 64 -j 2] by about a quarter. *)
 
-(* [f ordinal a b] for every range, each exactly once. *)
-let run_ranges pool ranges f =
-  let nb = Array.length ranges in
-  if nb > 0 then begin
-    let workers = pool.size in
-    if workers = 1 || nb = 1 then
-      Array.iteri (fun c (a, b) -> f c a b) ranges
-    else begin
-      let module Obs = Mv_obs.Obs in
-      if Obs.is_enabled () then begin
-        Obs.add (Obs.counter "par.chunks") nb;
-        let sizes = Obs.histogram "par.chunk_size" in
-        Array.iter (fun (a, b) -> Obs.observe sizes (float_of_int (b - a))) ranges
-      end;
-      let steals = Obs.counter "par.steals" in
-      let deques = Array.init workers (fun _ -> Deque.create ()) in
-      for c = nb - 1 downto 0 do
-        (* reverse deal so [pop] serves ranges in ascending order *)
-        let a, b = ranges.(c) in
-        Deque.push deques.(c mod workers) (c, a, b)
-      done;
-      run pool (fun w ->
-          let rec next victim =
-            if victim = workers then None
-            else
-              match Deque.steal deques.((w + victim) mod workers) with
-              | Some _ as item ->
-                Obs.incr steals;
-                item
-              | None -> next (victim + 1)
-          in
-          let rec drain () =
-            match
-              match Deque.pop deques.(w) with
-              | Some _ as item -> item
-              | None -> next 1
-            with
-            | Some (c, a, b) ->
-              f c a b;
-              drain ()
-            | None -> ()
-          in
-          drain ())
-    end
-  end
+(* Small enough that every worker gets about eight chunks, so a slow
+   chunk does not leave the others idle; large enough to amortize a
+   claim; capped at 1024 indices. *)
+let chunk_size ~workers ~lo ~hi = min 1024 (max 1 ((hi - lo) / (8 * workers)))
 
-let plan ?chunk pool ~lo ~hi =
-  Chunk.ranges ~policy:(resolve pool chunk) ~workers:pool.size ~lo ~hi
-
-let chunks ?chunk ~pool ~lo ~hi f =
-  run_ranges pool (plan ?chunk pool ~lo ~hi) (fun _ a b -> f a b)
-
-let for_ ?chunk ~pool ~lo ~hi f =
-  run_ranges pool
-    (plan ?chunk pool ~lo ~hi)
-    (fun _ a b ->
-      for i = a to b - 1 do
-        f i
-      done)
-
-let map_reduce ?chunk ~pool ~lo ~hi ~map ~reduce ~init =
-  if hi <= lo then init
+let for_ ~pool ~lo ~hi f =
+  let workers = pool.size in
+  let size = chunk_size ~workers ~lo ~hi in
+  let nb = (hi - lo + size - 1) / size in
+  if workers = 1 || nb <= 1 then
+    for i = lo to hi - 1 do
+      f i
+    done
   else begin
-    let ranges = plan ?chunk pool ~lo ~hi in
-    let partials = Array.make (Array.length ranges) None in
-    run_ranges pool ranges (fun c a b ->
-        let acc = ref init in
-        for i = a to b - 1 do
-          acc := reduce !acc (map i)
-        done;
-        partials.(c) <- Some !acc);
-    Array.fold_left
-      (fun acc partial -> reduce acc (Option.get partial))
-      init partials
+    let module Obs = Mv_obs.Obs in
+    if Obs.is_enabled () then begin
+      Obs.add (Obs.counter "par.chunks") nb;
+      let sizes = Obs.histogram "par.chunk_size" in
+      for c = 0 to nb - 1 do
+        let a = lo + (c * size) in
+        Obs.observe sizes (float_of_int (min hi (a + size) - a))
+      done
+    end;
+    let rows = (nb + workers - 1) / workers in
+    let cursor = Atomic.make 0 in
+    run pool (fun _ ->
+        let rec claim () =
+          let k = Atomic.fetch_and_add cursor 1 in
+          if k < workers * rows then begin
+            let c = (k mod workers * rows) + (k / workers) in
+            if c < nb then begin
+              let a = lo + (c * size) in
+              for i = a to min hi (a + size) - 1 do
+                f i
+              done
+            end;
+            claim ()
+          end
+        in
+        claim ())
   end

@@ -261,6 +261,48 @@ init ((((Buf[g0, g1](0) |[g1]| Buf[g1, g2](0)) |[g2]| Buf[g2, g3](0))
     (Mv_lts.Lts.nb_states report.Mv_compose.Net.result);
   exceeds "warm" (budgeted cached)
 
+(* [max_states] bounds every step of a compositional generation as it
+   bounds a monolithic one: the 6-buffer chain's leaves have 3 states
+   each, its products grow to 729, and both runs must fail at 100 with
+   the explorer's error. A cached product is checked too, here one
+   stored under the same key by a run that did not bound products. *)
+let test_compositional_max_states () =
+  let text =
+    {|
+process Buf [input, output] (n : int[0..2]) :=
+    [n < 2] -> input ; Buf[input, output](n + 1)
+ [] [n > 0] -> output ; Buf[input, output](n - 1)
+init ((((Buf[g0, g1](0) |[g1]| Buf[g1, g2](0)) |[g2]| Buf[g2, g3](0))
+  |[g3]| Buf[g3, g4](0)) |[g4]| Buf[g4, g5](0)) |[g5]| Buf[g5, g6](0)
+|}
+  in
+  let spec = Flow.model_of_text text in
+  let bounded = Flow.Config.(default |> with_max_states 100) in
+  let exceeds name run =
+    match run () with
+    | _ -> Alcotest.failf "%s: 100 states allowed" name
+    | exception Mv_lts.Explore.Too_many_states bound ->
+      Alcotest.(check int) (name ^ ": bound") 100 bound
+  in
+  exceeds "monolithic" (fun () -> ignore (Flow.Run.generate bounded spec));
+  exceeds "compositional" (fun () ->
+      ignore (Flow.Run.generate_compositional bounded spec));
+  Test_store.in_sandbox @@ fun dir ->
+  let cache = Mv_store.Cache.open_dir dir in
+  let product =
+    (Flow.Run.generate_compositional Flow.Config.default spec)
+      .Mv_compose.Net.result
+  in
+  Mv_store.Cache.store_lts cache ~op:"generate_compositional"
+    ~params:[ ("max_states", "100"); ("plan", "naive") ]
+    (Mv_calc.Ast.spec_to_string spec)
+    product;
+  exceeds "cache hit" (fun () ->
+      ignore
+        (Flow.Run.generate_compositional
+           (Flow.Config.with_cache (Some cache) bounded)
+           spec))
+
 let suite =
   [
     Alcotest.test_case "model_of_text errors" `Quick test_model_of_text_errors;
@@ -281,4 +323,6 @@ let suite =
       test_generate_compositional;
     Alcotest.test_case "compositional generation within the state budget"
       `Quick test_compositional_budget;
+    Alcotest.test_case "compositional generation within --max-states" `Quick
+      test_compositional_max_states;
   ]

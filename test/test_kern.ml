@@ -1,7 +1,8 @@
 (* Tests for mv_kern: CSR adjacency, the refinable partition, signature
    sort/dedup, the solver kernels, and — the contract everything else
    rests on — agreement of the flat refinement engines with the legacy
-   signature engines, block ids included, at every pool size. *)
+   signature engines, block ids included (for branching, at every pool
+   size). *)
 
 module Lts = Mv_lts.Lts
 module Label = Mv_lts.Label
@@ -153,17 +154,14 @@ let same_partition (p : Partition.t) (q : Partition.t) =
 
 (* The engines must agree block id for block id (not just up to
    renaming): quotients are then byte-identical and Mv_store cache
-   keys stay valid. The pool never changes results, so the flat
-   partition at -j1 and -j4 is checked against the sequential
-   oracle. *)
+   keys stay valid. Strong refinement is sequential; the pool never
+   changes branching results, so its flat partition at -j1 and -j4 is
+   checked against the sequential oracle. *)
 let strong_matches_legacy_prop =
-  QCheck2.Test.make ~name:"strong: flat engine = legacy engine (-j1, -j4)"
+  QCheck2.Test.make ~name:"strong: flat engine = legacy engine (-j1)"
     ~count:120 lts_gen
     (fun lts ->
-       let oracle = Mv_oracle.Strong.partition lts in
-       same_partition (Strong.partition lts) oracle
-       && Mv_par.Pool.scope ~domains:4 (fun pool ->
-           same_partition (Strong.partition ~pool lts) oracle))
+       same_partition (Strong.partition lts) (Mv_oracle.Strong.partition lts))
 
 let branching_matches_legacy_prop =
   QCheck2.Test.make ~name:"branching: flat engine = legacy engine (-j1, -j4)"
@@ -293,9 +291,8 @@ let lump_backbone_matches_legacy_prop =
     (fun imc ->
        same_partition (Lump.partition imc) (Mv_oracle.Lump.partition imc))
 
-(* The generators stay below the parallel thresholds (64 states for
-   branching, 1024 for Refine), so the engines also run on bench E10's
-   case studies. Lumping runs on the 12+12 tandem's IMC, as generated
+(* The generators stay below branching's parallel threshold (64
+   states), so the engines also run on bench E10's case studies. Lumping runs on the 12+12 tandem's IMC, as generated
    and as the performance pipeline closes it (only [pop] visible), and
    on the benchmark's model: the closed 40+40 tandem near saturation. *)
 let test_case_studies_match_oracle () =
@@ -321,13 +318,13 @@ let test_case_studies_match_oracle () =
   Mv_par.Pool.scope ~domains:4 (fun pool ->
       List.iter
         (fun (name, lts) ->
-           let strong = Mv_oracle.Strong.partition lts in
+           check (name ^ " strong") (Strong.partition lts)
+             (Mv_oracle.Strong.partition lts);
            let branching = Mv_oracle.Branching.partition lts in
            let div = Mv_oracle.Branching.partition ~divergence_sensitive:true lts in
            List.iter
              (fun (j, pool) ->
                 let at what = Printf.sprintf "%s %s -j%d" name what j in
-                check (at "strong") (Strong.partition ?pool lts) strong;
                 check (at "branching") (Branching.partition ?pool lts) branching;
                 check (at "divbranching")
                   (Branching.partition ?pool ~divergence_sensitive:true lts)
@@ -404,8 +401,6 @@ let test_solver_run_config () =
   let cfg = Solver.config () in
   Alcotest.(check bool) "no method forced by default" true
     (cfg.Solver.method_ = None);
-  Alcotest.(check bool) "no pool by default" true
-    (match cfg.Solver.pool with None -> true | Some _ -> false);
   let n = 5 in
   let sys = cycle_system n in
   let pi = Array.make n (1.0 /. float_of_int n) in
@@ -650,33 +645,10 @@ let direct_border_prop =
             (fun a b -> abs_float (a -. b) <= 1e-12 *. Float.max a b)
             plain bordered)
 
-let test_coloring_valid () =
-  let n = 6 in
-  let sys = cycle_system n in
-  let order, class_start, nb_colors = Solver.coloring sys in
-  Alcotest.(check (list int)) "order is a permutation" (List.init n Fun.id)
-    (List.sort compare (Array.to_list order));
-  Alcotest.(check bool) "cycle needs >= 2 colors" true (nb_colors >= 2);
-  Alcotest.(check int) "class_start spans order" n class_start.(nb_colors);
-  let color = Array.make n (-1) in
-  for c = 0 to nb_colors - 1 do
-    for i = class_start.(c) to class_start.(c + 1) - 1 do
-      color.(order.(i)) <- c
-    done
-  done;
-  for j = 0 to n - 1 do
-    for k = sys.Solver.in_row.(j) to sys.Solver.in_row.(j + 1) - 1 do
-      let i = sys.Solver.in_src.(k) in
-      if i <> j then
-        Alcotest.(check bool) "conflict edge bicolored" false
-          (color.(i) = color.(j))
-    done
-  done
-
 (* With telemetry off, a sweep allocates a constant number of words,
    whatever the number of states: the per-state sums stay unboxed. The
    per-sweep figure is the difference between a long and a short run,
-   so the one-time set-up (coloring, scratch arrays) cancels out. *)
+   so the one-time set-up cancels out. *)
 let test_sweeps_allocation_free () =
   Mv_obs.Obs.reset ();
   let n = 2000 in
@@ -697,67 +669,6 @@ let test_sweeps_allocation_free () =
   Alcotest.(check bool)
     (Printf.sprintf "gs: %.1f minor words per sweep over %d states" per_sweep n)
     true (per_sweep < 32.0)
-
-(* ---- the parallel engines vs -j1, above their thresholds ---- *)
-
-(* big enough (> 1024 states) that Refine.strong takes the round-based
-   parallel path and the GS color classes exceed the parallel class
-   threshold *)
-let big_lts n =
-  let tr = ref [] in
-  for s = 0 to n - 1 do
-    tr := (s, "a", (s + 1) mod n) :: (s, "b", ((s * s) + 3) mod n) :: !tr;
-    if s mod 3 = 0 then tr := (s, "a", ((s * 5) + 2) mod n) :: !tr
-  done;
-  build ~nb_states:n ~initial:0 !tr
-
-let test_refine_parallel_identical () =
-  let lts = big_lts 3000 in
-  let seq = Strong.partition lts in
-  List.iter
-    (fun domains ->
-       Mv_par.Pool.scope ~domains (fun pool ->
-           let par = Strong.partition ~pool lts in
-           Alcotest.(check int)
-             (Printf.sprintf "count -j %d" domains)
-             seq.Partition.count par.Partition.count;
-           Alcotest.(check (array int))
-             (Printf.sprintf "blocks byte-identical -j %d" domains)
-             seq.Partition.block_of par.Partition.block_of))
-    [ 2; 8 ]
-
-let test_gs_parallel_bitwise () =
-  (* birth-death chain: 2-colorable, classes of ~1000 states *)
-  let n = 2000 in
-  let transitions = ref [] in
-  for s = 0 to n - 2 do
-    transitions :=
-      { Ctmc.src = s; rate = 1.0 +. (0.01 *. float_of_int s);
-        actions = []; dst = s + 1 }
-      :: { Ctmc.src = s + 1; rate = 2.0 +. (0.03 *. float_of_int s);
-           actions = []; dst = s }
-      :: !transitions
-  done;
-  let c = Ctmc.make ~nb_states:n ~initial:0 !transitions in
-  let pi1 = Ctmc.steady_state ~method_:Solver.Gauss_seidel c in
-  let total = Array.fold_left ( +. ) 0.0 pi1 in
-  Alcotest.(check bool) "normalized" true (Float.abs (total -. 1.0) < 1e-9);
-  List.iter
-    (fun domains ->
-       Mv_par.Pool.scope ~domains (fun pool ->
-           let pi = Ctmc.steady_state ~pool ~method_:Solver.Gauss_seidel c in
-           Alcotest.(check bool)
-             (Printf.sprintf "gs -j %d bitwise" domains)
-             true (pi = pi1)))
-    [ 2; 8 ]
-
-let strong_quotient_j8_prop =
-  QCheck2.Test.make ~name:"strong: -j8 partition = -j1 partition" ~count:60
-    lts_gen
-    (fun lts ->
-       let seq = Strong.partition lts in
-       Mv_par.Pool.scope ~domains:8 (fun pool ->
-           same_partition seq (Strong.partition ~pool lts)))
 
 let test_solver_method_names () =
   List.iter
@@ -806,13 +717,6 @@ let suite =
     Alcotest.test_case "solver: a border column keeps a hub out of the band"
       `Quick test_direct_border;
     QCheck_alcotest.to_alcotest direct_border_prop;
-    Alcotest.test_case "coloring is a valid conflict coloring" `Quick
-      test_coloring_valid;
     Alcotest.test_case "solver sweeps allocate nothing per state" `Quick
       test_sweeps_allocation_free;
-    Alcotest.test_case "parallel refine byte-identical (3000 states)" `Quick
-      test_refine_parallel_identical;
-    Alcotest.test_case "parallel gs bitwise (2000 states)" `Quick
-      test_gs_parallel_bitwise;
-    QCheck_alcotest.to_alcotest strong_quotient_j8_prop;
   ]

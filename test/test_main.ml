@@ -5,7 +5,6 @@ let () =
     [
       ("util", Test_util.suite);
       ("par", Test_par.suite);
-      ("model", Test_model.suite);
       ("lts", Test_lts.suite);
       ("markov", Test_markov.suite);
       ("bisim", Test_bisim.suite);

@@ -165,16 +165,48 @@ let test_ring_passage () =
 (* In BFS order a ring of 2,100 states has a lower band of 2,099, which
    puts its renewal chain beyond the direct solve's band cap, so the
    sweeps run, under the caller's budget. The leak sits halfway round,
-   so the visits are not uniform and ten sweeps cannot reach them. *)
+   so the visits are not uniform and one sweep cannot reach them. *)
 let test_ring_passage_budget () =
   let n = 2_100 in
   let _, stats =
-    Ctmc.mean_first_passage ~max_iterations:10
+    Ctmc.mean_first_passage ~max_iterations:1
       (leaky_ring ~at:(n / 2) ~n ~leak:1e-3 ())
       ~targets:[ n ]
   in
-  Alcotest.(check int) "sweeps" 10 stats.Solver_stats.iterations;
+  Alcotest.(check int) "sweeps" 1 stats.Solver_stats.iterations;
   Alcotest.(check bool) "not converged" false stats.Solver_stats.converged
+
+(* The same ring leaking 0.1 halfway round: its exact passage is
+   21,000 - 1,049 = 19,951. A sweep in BFS order carries a correction
+   all the way round the ring, so a few sweeps settle it. *)
+let test_ring_passage_converges () =
+  let n = 2_100 and at = 1_050 in
+  let time, stats =
+    Ctmc.mean_first_passage (leaky_ring ~at ~n ~leak:0.1 ()) ~targets:[ n ]
+  in
+  close ~eps:(1e-9 *. 19_951.0) "n / leak - (n - 1 - at)" 19_951.0 time;
+  Alcotest.(check bool) "swept" true (stats.Solver_stats.iterations > 0);
+  Alcotest.(check bool) "converged" true stats.Solver_stats.converged
+
+(* Rings past the direct caps (more than 2,050 states), any leak
+   position and rate: the sweeps converge to the exact passage. *)
+let ring_passage_prop =
+  QCheck2.Test.make ~name:"ring passage past the direct caps = exact"
+    ~count:20
+    ~print:(fun (n, at, leak) -> Printf.sprintf "n=%d at=%d leak=%h" n at leak)
+    QCheck2.Gen.(
+      let* n = int_range 2_051 4_000 in
+      let* at = int_bound (n - 1) in
+      let* leak = float_range 1e-3 0.9 in
+      return (n, at, leak))
+    (fun (n, at, leak) ->
+       let time, stats =
+         Ctmc.mean_first_passage (leaky_ring ~at ~n ~leak ()) ~targets:[ n ]
+       in
+       let exact = (float_of_int n /. leak) -. float_of_int (n - 1 - at) in
+       stats.Solver_stats.iterations > 0
+       && stats.Solver_stats.converged
+       && abs_float (time -. exact) <= 1e-9 *. exact)
 
 (* A 2,100-state ring whose every state also leaks into the target at
    rate 0.01: the time to the target is exponential at that rate
@@ -615,6 +647,9 @@ let suite =
       `Quick test_ring_passage_budget;
     Alcotest.test_case "ring beyond the direct caps: sweeps converge" `Quick
       test_ring_passage_swept;
+    Alcotest.test_case "ring leaking halfway round: passage converges" `Quick
+      test_ring_passage_converges;
+    QCheck_alcotest.to_alcotest ring_passage_prop;
     Alcotest.test_case "birth-death passage: node kept out of the band"
       `Quick test_birth_death_passage;
     QCheck_alcotest.to_alcotest renewal_vs_lu_prop;

@@ -254,6 +254,21 @@ let test_flow_instrumented () =
   Alcotest.(check bool) "direct: throughput agrees with the sweeps" true
     (Float.abs (Flow.throughput perf ~gate:"pop" -. throughput) < 1e-9)
 
+(* Branching refinement reports like strong does: one [kern.branching]
+   span per refinement, its signature rounds and its final block
+   count. *)
+let test_branching_instrumented () =
+  fresh ();
+  let lts = Flow.Run.generate Flow.Config.default (Flow.model_of_text queue_text) in
+  let p = Mv_bisim.Branching.partition lts in
+  Alcotest.(check bool) "span recorded" true
+    (Obs.span_total_s "kern.branching" > 0.0);
+  Alcotest.(check bool) "rounds counted" true
+    (Obs.counter_value (Obs.counter "kern.branching.rounds") >= 1);
+  Alcotest.(check (float 0.0)) "blocks of the partition"
+    (float_of_int p.Mv_bisim.Partition.count)
+    (Obs.gauge_value (Obs.gauge "kern.branching.blocks"))
+
 let test_parallel_matches_sequential () =
   fresh ();
   let spec = Flow.model_of_text queue_text in
@@ -481,6 +496,8 @@ let suite =
       (cleanup test_trace_json);
     Alcotest.test_case "instrumented flow end to end" `Quick
       (cleanup test_flow_instrumented);
+    Alcotest.test_case "branching refinement instrumented" `Quick
+      (cleanup test_branching_instrumented);
     Alcotest.test_case "parallel replications match sequential" `Slow
       (cleanup test_parallel_matches_sequential);
     Alcotest.test_case "clock monotone across domains" `Quick

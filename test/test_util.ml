@@ -1,36 +1,7 @@
-(* Unit and property tests for mv_util: Vec, Bitset, Rng. *)
+(* Unit and property tests for mv_util: Bitset, Rng. *)
 
-module Vec = Mv_util.Vec
 module Bitset = Mv_util.Bitset
 module Rng = Mv_util.Rng
-
-let test_vec_push_get () =
-  let v = Vec.create () in
-  for i = 0 to 999 do
-    Vec.push v (i * i)
-  done;
-  Alcotest.(check int) "length" 1000 (Vec.length v);
-  Alcotest.(check int) "get 31" (31 * 31) (Vec.get v 31);
-  Vec.set v 31 7;
-  Alcotest.(check int) "set" 7 (Vec.get v 31)
-
-let test_vec_bounds () =
-  let v = Vec.create () in
-  Vec.push v 1;
-  Alcotest.check_raises "get oob" (Invalid_argument "Vec.get") (fun () ->
-      ignore (Vec.get v 1));
-  Alcotest.check_raises "set oob" (Invalid_argument "Vec.set") (fun () ->
-      Vec.set v (-1) 0)
-
-let test_vec_to_array_iter () =
-  let v = Vec.create ~capacity:1 () in
-  List.iter (Vec.push v) [ 3; 1; 4; 1; 5 ];
-  Alcotest.(check (array int)) "to_array" [| 3; 1; 4; 1; 5 |] (Vec.to_array v);
-  let seen = ref [] in
-  Vec.iter (fun x -> seen := x :: !seen) v;
-  Alcotest.(check (list int)) "iter order" [ 5; 1; 4; 1; 3 ] !seen;
-  Vec.clear v;
-  Alcotest.(check int) "clear" 0 (Vec.length v)
 
 let test_bitset_basic () =
   let s = Bitset.create 100 in
@@ -170,9 +141,6 @@ let test_rng_split_independence () =
 
 let suite =
   [
-    Alcotest.test_case "vec push/get/set" `Quick test_vec_push_get;
-    Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
-    Alcotest.test_case "vec to_array/iter/clear" `Quick test_vec_to_array_iter;
     Alcotest.test_case "bitset basics" `Quick test_bitset_basic;
     Alcotest.test_case "bitset complement/full" `Quick test_bitset_complement_full;
     Alcotest.test_case "bitset union/inter/equal" `Quick test_bitset_set_ops;
