@@ -702,16 +702,7 @@ let check_cmd =
   let deadlock_arg =
     Arg.(value & flag & info [ "deadlock" ] ~doc:"Also check deadlock freedom.")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("fixpoint", `Fixpoint); ("bes", `Bes) ]) `Fixpoint
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Evaluation engine: direct $(b,fixpoint) iteration or a \
-             $(b,bes) (boolean equation system) translation.")
-  in
-  let run () model max_states formulas deadlock engine no_lint remote budget =
+  let run () model max_states formulas deadlock no_lint remote budget =
     handle_errors (fun () ->
         lint_gate ~no_lint [ model ];
         match remote with
@@ -724,23 +715,18 @@ let check_cmd =
                     ("max_states", Json.Int max_states);
                     ("formulas", strings_json formulas);
                     ("deadlock", Json.Bool deadlock);
-                    ( "engine",
-                      Json.String
-                        (match engine with
-                         | `Fixpoint -> "fixpoint"
-                         | `Bes -> "bes") );
                   ]))
         | None ->
           let lts =
             load_lts ~max_states ?budget:(local_budget budget) model
           in
-          print_texts (Ops.check_texts ~engine ~deadlock ~formulas lts))
+          print_texts (Ops.check_texts ~deadlock ~formulas lts))
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Model-check mu-calculus formulas")
     Term.(
       const run $ obs_term $ model_arg $ max_states_arg $ formulas_arg
-      $ deadlock_arg $ engine_arg $ no_lint_arg $ remote_arg $ budget_term)
+      $ deadlock_arg $ no_lint_arg $ remote_arg $ budget_term)
 
 (* ---- solve ---- *)
 

@@ -262,10 +262,9 @@ let steady_state ?method_ ?tolerance ?max_iterations t =
   fst (steady_state_stats ?method_ ?tolerance ?max_iterations t)
 
 (* Uniformization: [p_{k+1} = p_k (I + Q / lambda)], where each step
-   sums every state's stay term and inflow, over the local system's
-   incoming CSR, in that fixed order, so a pool changes which domain
-   computes a state but never its float operations. *)
-let transient ?pool ?(epsilon = 1e-10) t ~horizon =
+   sums every state's stay term and inflow over the local system's
+   incoming CSR. *)
+let transient ?(epsilon = 1e-10) t ~horizon =
   if horizon < 0.0 then invalid_arg "Ctmc.transient: negative horizon";
   let n = t.nb_states in
   let point = Array.make n 0.0 in
@@ -284,14 +283,6 @@ let transient ?pool ?(epsilon = 1e-10) t ~horizon =
     let current = ref (Array.make n 0.0) in
     let next = ref (Array.make n 0.0) in
     !current.(0) <- 1.0;
-    let step j =
-      let p = !current in
-      let acc = ref (stay.(j) *. p.(j)) in
-      for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
-        acc := !acc +. (p.(sys.in_src.(e)) *. jump.(e))
-      done;
-      !next.(j) <- !acc
-    in
     let result = Array.make n 0.0 in
     for k = 0 to weights.right do
       if k >= weights.left then begin
@@ -299,15 +290,15 @@ let transient ?pool ?(epsilon = 1e-10) t ~horizon =
         Array.iteri (fun j v -> result.(j) <- result.(j) +. (w *. v)) !current
       end;
       if k < weights.right then begin
-        (match pool with
-         | Some pool when Mv_par.Pool.size pool > 1 && n > 64 ->
-           Mv_par.Pool.for_ ~pool ~lo:0 ~hi:n step
-         | _ ->
-           for j = 0 to n - 1 do
-             step j
-           done);
-        let p = !current in
-        current := !next;
+        let p = !current and q = !next in
+        for j = 0 to n - 1 do
+          let acc = ref (stay.(j) *. p.(j)) in
+          for e = sys.in_row.(j) to sys.in_row.(j + 1) - 1 do
+            acc := !acc +. (p.(sys.in_src.(e)) *. jump.(e))
+          done;
+          q.(j) <- !acc
+        done;
+        current := q;
         next := p
       end
     done;

@@ -87,12 +87,9 @@ val steady_state_stats :
 (** {1 Transient analysis} *)
 
 (** [transient t ~horizon] is the state distribution at time [horizon],
-    by uniformization. [epsilon] bounds the truncation error (default
-    [1e-10]). Each step sums every state's inflow in a fixed order, so
-    under [pool] the steps run in parallel and are bit-identical to the
-    sequential ones. *)
-val transient :
-  ?pool:Mv_par.Pool.t -> ?epsilon:float -> t -> horizon:float -> float array
+    by uniformization, sequentially. [epsilon] bounds the truncation
+    error (default [1e-10]). *)
+val transient : ?epsilon:float -> t -> horizon:float -> float array
 
 (** {1 First-passage analysis}
 

@@ -2,9 +2,8 @@
 
     This is the one entry point for parallel execution. A pool is
     created once per command invocation ([mval -j N]) and handed to
-    the engines that still fan out: branching-signature rounds,
-    {!Mv_markov.Ctmc.transient}, DES replications and the [mvald]
-    request workers.
+    the engines that still fan out: branching-signature rounds, DES
+    replications and the [mvald] request workers.
 
     OCaml domains are heavyweight (each maps to an OS thread with its
     own minor heap), so engines never spawn them per task: a pool of

@@ -19,6 +19,8 @@ let ok_out out = { out; err = ""; code = 0 }
 let classify = function
   | Mv_calc.Parser.Parse_error msg | Mv_mcl.Parser.Parse_error msg ->
     Some (Proto.Model_error, "parse error: " ^ msg, 2)
+  | Mv_mcl.Formula.Ill_formed msg ->
+    Some (Proto.Model_error, "ill-formed formula: " ^ msg, 2)
   | Mv_calc.Typecheck.Type_error msg ->
     Some (Proto.Model_error, "type error: " ^ msg, 2)
   | Aut.Parse_error msg ->
@@ -40,6 +42,14 @@ let classify = function
            --scheduler uniform)"
           state,
         4 )
+  | Mv_imc.To_ctmc.Divergence state ->
+    Some
+      ( Proto.Model_error,
+        Printf.sprintf
+          "divergence: vanishing state %d loops forever through \
+           immediate transitions, never reaching a state with a rate"
+          state,
+        2 )
   | Budget.Exceeded { Budget.resource; message } ->
     Some
       ( Proto.Budget_exceeded,
@@ -83,7 +93,7 @@ let compare_texts config equivalence la lb =
   end;
   { out = Buffer.contents buffer; err = ""; code = (if equal then 0 else 1) }
 
-let check_texts ~engine ~deadlock ~formulas lts =
+let check_texts ?engine:_ ~deadlock ~formulas lts =
   let checks =
     (if deadlock then
        [ ("deadlock freedom", Mv_mcl.Formula.Macro.deadlock_free) ]
@@ -95,33 +105,21 @@ let check_texts ~engine ~deadlock ~formulas lts =
       err = "nothing to check (use --formula or --deadlock)\n";
       code = 2 }
   else begin
-    let evaluate =
-      match engine with
-      | `Fixpoint -> Mv_mcl.Eval.holds
-      | `Bes -> Mv_mcl.Bes.holds
-    in
     let buffer = Buffer.create 256 in
     let failures = ref 0 in
     List.iter
       (fun (name, formula) ->
-         let holds = evaluate lts formula in
-         if not holds then begin
+         if Mv_mcl.Eval.holds lts formula then
+           Buffer.add_string buffer (Printf.sprintf "%-60s holds\n" name)
+         else begin
            incr failures;
-           (* pick the most informative witness available: the
-              shortest deadlock trace for the deadlock check, else a
-              shortest path into the violating region (useful for
-              invariants; path formulas often violate at the initial
-              state itself, where no trace helps) *)
+           (* the deadlock check shows a shortest trace into a
+              deadlock; a violated formula fails at the initial state
+              itself, where no trace helps *)
            let witness =
              if name = "deadlock freedom" then
                Mv_lts.Trace.shortest_to_deadlock lts
-             else
-               match
-                 Mv_lts.Trace.shortest_to_violation lts
-                   ~sat:(Mv_mcl.Eval.sat lts formula)
-               with
-               | Some t when t.Mv_lts.Trace.labels <> [] -> Some t
-               | Some _ | None -> None
+             else None
            in
            match witness with
            | Some t ->
@@ -131,9 +129,7 @@ let check_texts ~engine ~deadlock ~formulas lts =
            | None ->
              Buffer.add_string buffer
                (Printf.sprintf "%-60s VIOLATED\n" name)
-         end
-         else
-           Buffer.add_string buffer (Printf.sprintf "%-60s holds\n" name))
+         end)
       checks;
     { out = Buffer.contents buffer;
       err = "";
@@ -445,14 +441,8 @@ let run_equivalent config args =
 
 let run_check config args =
   let lts = lts_of_model config "model" args in
-  let engine =
-    match str_field ~default:"fixpoint" "engine" args with
-    | "fixpoint" -> `Fixpoint
-    | "bes" -> `Bes
-    | e -> bad "unknown engine %S (expected fixpoint or bes)" e
-  in
   texts_json
-    (check_texts ~engine
+    (check_texts
        ~deadlock:(bool_field ~default:false "deadlock" args)
        ~formulas:(string_list_field "formulas" args)
        lts)

@@ -47,11 +47,14 @@ val compare_texts :
   Mv_lts.Lts.t ->
   texts
 
-(** [mval check]: one verdict line per property (witness traces for
-    violations); formulas are parsed here so a parse error raises the
-    same exception locally and remotely. *)
+(** [mval check]: one verdict line per property (a shortest witness
+    trace when deadlock freedom is violated); formulas are parsed here
+    so a parse error raises the same exception locally and remotely.
+    Each formula is evaluated once ({!Mv_mcl.Eval.holds}). [engine] is
+    ignored; it stays for callers written against the two checkers
+    that [mval check --engine] used to choose between. *)
 val check_texts :
-  engine:[ `Fixpoint | `Bes ] ->
+  ?engine:[ `Fixpoint ] ->
   deadlock:bool ->
   formulas:string list ->
   Mv_lts.Lts.t ->

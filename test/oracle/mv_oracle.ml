@@ -3,7 +3,8 @@
    the flat kernels of Mv_bisim and Mv_imc.Lump replaced; [Linalg] holds
    the dense LU solves of the steady-state and first-step equations
    that the Mv_kern.Solver kernels and Mv_markov.Ctmc's renewal solves
-   are checked against.
+   are checked against; [Eval] is the Knaster-Tarski mu-calculus
+   evaluator that Mv_mcl.Eval is checked against.
 
    Every engine recomputes the signature of every state each round,
    keys each state by its old block and its signature, and numbers the
@@ -393,4 +394,105 @@ module Linalg = struct
               ~known:(fun d -> if List.mem d members then 1.0 else 0.0)
               ~reward:(fun _ -> 0.0)).(s0))
       classes
+end
+
+(* Knaster-Tarski evaluation of alternation-free mu-calculus formulas:
+   every fixpoint is iterated to stability on dense bitsets, and nested
+   fixpoints are recomputed under each environment. This was
+   Mv_mcl.Eval before the linear-time propagation replaced it, and the
+   tests check that solver against it. *)
+module Eval = struct
+  module Bitset = Mv_util.Bitset
+  module Formula = Mv_mcl.Formula
+  module Action_formula = Mv_mcl.Action_formula
+
+  (* The modalities iterate over all transitions once per call; the
+     per-formula compiled action sets make the label test O(1). *)
+
+  let diamond lts action_set target =
+    let n = Lts.nb_states lts in
+    let result = Bitset.create n in
+    Lts.iter_transitions lts (fun src label dst ->
+        if Bitset.mem action_set label && Bitset.mem target dst then
+          Bitset.add result src);
+    result
+
+  let box lts action_set target =
+    (* s satisfies [alpha]phi iff no alpha-move leaves phi *)
+    let n = Lts.nb_states lts in
+    let violating = Bitset.create n in
+    Lts.iter_transitions lts (fun src label dst ->
+        if Bitset.mem action_set label && not (Bitset.mem target dst) then
+          Bitset.add violating src);
+    Bitset.complement violating;
+    violating
+
+  let sat lts formula =
+    Formula.check formula;
+    let n = Lts.nb_states lts in
+    let compiled = Hashtbl.create 16 in
+    let action_set alpha =
+      match Hashtbl.find_opt compiled alpha with
+      | Some set -> set
+      | None ->
+        let set = Action_formula.compile lts alpha in
+        Hashtbl.replace compiled alpha set;
+        set
+    in
+    let rec eval env formula =
+      match formula with
+      | Formula.True -> Bitset.full n
+      | Formula.False -> Bitset.create n
+      | Formula.Var x -> (
+          match List.assoc_opt x env with
+          | Some set -> Bitset.copy set
+          | None -> assert false (* ruled out by Formula.check *))
+      | Formula.Not inner ->
+        let set = eval env inner in
+        Bitset.complement set;
+        set
+      | Formula.And (a, b) ->
+        let sa = eval env a in
+        Bitset.inter_into ~into:sa (eval env b);
+        sa
+      | Formula.Or (a, b) ->
+        let sa = eval env a in
+        Bitset.union_into ~into:sa (eval env b);
+        sa
+      | Formula.Implies (a, b) ->
+        let sa = eval env a in
+        Bitset.complement sa;
+        Bitset.union_into ~into:sa (eval env b);
+        sa
+      | Formula.Diamond (alpha, inner) ->
+        diamond lts (action_set alpha) (eval env inner)
+      | Formula.Box (alpha, inner) -> box lts (action_set alpha) (eval env inner)
+      | Formula.Mu (x, inner) -> fixpoint env x inner (Bitset.create n)
+      | Formula.Nu (x, inner) -> fixpoint env x inner (Bitset.full n)
+    and fixpoint env x inner start =
+      let current = ref start in
+      let stable = ref false in
+      while not !stable do
+        let next = eval ((x, !current) :: env) inner in
+        if Bitset.equal next !current then stable := true else current := next
+      done;
+      !current
+    in
+    eval [] formula
+
+  let holds lts formula = Bitset.mem (sat lts formula) (Lts.initial lts)
+
+  let witnesses lts formula ~limit =
+    let set = sat lts formula in
+    let out = ref [] in
+    let count = ref 0 in
+    (try
+       Bitset.iter
+         (fun s ->
+            if !count >= limit then raise Exit;
+            incr count;
+            out := s :: !out)
+         set
+     with Exit -> ());
+    List.rev !out
 end

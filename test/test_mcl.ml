@@ -1,5 +1,6 @@
-(* Tests for mv_mcl: action formulas, mu-calculus evaluation, macros,
-   the formula parser, and well-formedness checking. *)
+(* Tests for mv_mcl: action formulas, mu-calculus evaluation against
+   the Knaster-Tarski oracle, macros, the formula parser, and
+   well-formedness checking. *)
 
 module Lts = Mv_lts.Lts
 module Label = Mv_lts.Label
@@ -259,19 +260,22 @@ let test_tau_modalities () =
   Alcotest.(check bool) "<visible> true fails" false
     (Eval.holds lts (Formula.Diamond (Action.Visible, Formula.True)))
 
-(* ---- BES engine cross-validation ---- *)
+(* ---- the solver against the Knaster-Tarski oracle ---- *)
 
-module Bes = Mv_mcl.Bes
+module Oracle = Mv_oracle.Eval
 
-let test_bes_basics () =
-  (* same verdicts as the direct evaluator on the running example *)
+let same_as_oracle lts texts =
   List.iter
     (fun text ->
        let f = Parser.formula_of_string text in
        Alcotest.(check (list int))
-         ("bes sat: " ^ text)
-         (sat_list example f)
-         (Bitset.to_list (Bes.sat example f)))
+         text
+         (Bitset.to_list (Oracle.sat lts f))
+         (sat_list lts f))
+    texts
+
+let test_oracle_example () =
+  same_as_oracle example
     [
       "true"; "false"; "<go> true"; "[go] false"; "<any> true and [done] false";
       "not (<go> true)"; "<go> true => <any> true";
@@ -282,62 +286,185 @@ let test_bes_basics () =
       "deadlock_free";
     ]
 
-let test_bes_stats () =
-  let bes = Bes.translate example (Parser.formula_of_string "mu X . <any> X") in
-  let st = Bes.stats bes in
-  Alcotest.(check bool) "variables scale with states" true
-    (st.Bes.variables >= Lts.nb_states example);
-  Alcotest.(check bool) "at least one block" true (st.Bes.blocks >= 1)
+(* Binder shapes the macros never build: fixpoints with no occurrence
+   or only a bare occurrence of their variable, same-sign nesting that
+   uses both variables, shadowing, closed fixpoints of the other sign
+   under a binder, and [not] / [=>] over closed fixpoints. *)
+let test_oracle_binders () =
+  same_as_oracle
+    (build ~nb_states:6 ~initial:0
+       [ (0, "a", 1); (1, "b", 2); (2, "a", 0); (2, "a", 3); (3, "i", 3);
+         (4, "b", 5); (1, "a", 4) ])
+    [
+      "mu X . X"; "nu X . X"; "mu X . true"; "nu X . false";
+      "mu X . mu Y . <a> X or <b> Y";
+      "nu X . nu Y . [a] X and ([b] Y or <i> true)";
+      "mu X . <a> X or mu X . <b> X";
+      "nu X . [a] X and (mu Y . <b> true or <any> Y)";
+      "mu X . <b> X or (nu Y . <i> Y)";
+      "not (mu X . <b> true or <a> X)";
+      "(nu X . <a> X) => mu Y . <b> true or <any> Y";
+      "nu X . ((mu Y . <b> Y or <i> true) => [any] X)";
+      "mu X . (not (nu Y . <a> Y)) and <any> X or <b> true";
+    ]
 
-(* random alternation-free formulas from a schema pool *)
+(* Random alternation-free formulas. [vars] are the variables the
+   generator may use at this point, with the sign of their binder:
+   entering a binder keeps only those of its own sign (alternation
+   freedom), and [not] arguments and [=>] left sides are closed. Names
+   come from a pool of three, so binders shadow each other. *)
 let formula_gen =
   let open QCheck2.Gen in
   let action = oneofl [ Action.Gate "a"; Action.Gate "b"; Action.Any; Action.Tau ] in
-  let leaf =
+  let bind sign x vars =
+    (x, sign) :: List.filter (fun (y, s) -> s = sign && y <> x) vars
+  in
+  let leaf vars =
     oneof
-      [ return Formula.True; return Formula.False;
-        map (fun a -> Formula.Macro.can_do a) action;
-        return Formula.Macro.deadlock_free;
-        map (fun a -> Formula.Macro.never a) action;
-        map (fun a -> Formula.Macro.inevitably_action a) action ]
+      ([ return Formula.True; return Formula.False;
+         map (fun a -> Formula.Macro.can_do a) action;
+         return Formula.Macro.deadlock_free;
+         map (fun a -> Formula.Macro.never a) action;
+         map (fun a -> Formula.Macro.inevitably_action a) action ]
+       @
+       if vars = [] then []
+       else [ map (fun (x, _) -> Formula.Var x) (oneofl vars) ])
   in
-  let rec build depth =
-    if depth = 0 then leaf
+  let rec build depth vars =
+    if depth = 0 then leaf vars
     else
-      oneof
-        [ leaf;
-          map2 (fun a b -> Formula.And (a, b)) (build (depth - 1)) (build (depth - 1));
-          map2 (fun a b -> Formula.Or (a, b)) (build (depth - 1)) (build (depth - 1));
-          map2 (fun alpha f -> Formula.Diamond (alpha, f)) action (build (depth - 1));
-          map2 (fun alpha f -> Formula.Box (alpha, f)) action (build (depth - 1));
-          map (fun f -> Formula.Macro.possibly f) (build (depth - 1));
-          map (fun f -> Formula.Macro.always f) (build (depth - 1));
-          map (fun f -> Formula.Not f) leaf;
-          map2
-            (fun alpha f ->
-               Formula.Regex.diamond
-                 (Formula.Regex.Star (Formula.Regex.Act alpha))
-                 f)
-            action (build (depth - 1)) ]
+      let sub = build (depth - 1) in
+      frequency
+        [ (2, leaf vars);
+          (2, map2 (fun a b -> Formula.And (a, b)) (sub vars) (sub vars));
+          (2, map2 (fun a b -> Formula.Or (a, b)) (sub vars) (sub vars));
+          (2, map2 (fun alpha f -> Formula.Diamond (alpha, f)) action (sub vars));
+          (2, map2 (fun alpha f -> Formula.Box (alpha, f)) action (sub vars));
+          ( 3,
+            let* x = oneofl [ "X"; "Y"; "Z" ] in
+            map (fun f -> Formula.Mu (x, f)) (sub (bind `Mu x vars)) );
+          ( 3,
+            let* x = oneofl [ "X"; "Y"; "Z" ] in
+            map (fun f -> Formula.Nu (x, f)) (sub (bind `Nu x vars)) );
+          (* same-sign nesting whose inner body uses both variables:
+             mu X . mu Y . <a> X or [b] Y or phi, and its dual shape *)
+          ( 2,
+            let* mu = bool in
+            let* a = action in
+            let* b = action in
+            let* da = bool in
+            let* db = bool in
+            let sign = if mu then `Mu else `Nu in
+            map
+              (fun f ->
+                 let binder x body =
+                   if mu then Formula.Mu (x, body) else Formula.Nu (x, body)
+                 in
+                 let modal diamond alpha x =
+                   if diamond then Formula.Diamond (alpha, Formula.Var x)
+                   else Formula.Box (alpha, Formula.Var x)
+                 in
+                 let join p q =
+                   if mu then Formula.Or (p, q) else Formula.And (p, q)
+                 in
+                 binder "X"
+                   (binder "Y"
+                      (join (join (modal da a "X") (modal db b "Y")) f)))
+              (sub (bind sign "Y" (bind sign "X" vars))) );
+          (1, map (fun f -> Formula.Not f) (sub []));
+          (1, map2 (fun a b -> Formula.Implies (a, b)) (sub []) (sub vars));
+          ( 1,
+            map
+              (fun f -> Formula.Macro.possibly f)
+              (sub (List.filter (fun (_, s) -> s = `Mu) vars)) );
+          ( 1,
+            map
+              (fun f -> Formula.Macro.always f)
+              (sub (List.filter (fun (_, s) -> s = `Nu) vars)) );
+          ( 1,
+            map2
+              (fun alpha f ->
+                 Formula.Regex.diamond
+                   (Formula.Regex.Star (Formula.Regex.Act alpha))
+                   f)
+              action
+              (sub (List.filter (fun (_, s) -> s = `Mu) vars)) ) ]
   in
-  build 3
+  build 4 []
 
 let lts_gen =
   QCheck2.Gen.(
-    let* nb_states = int_range 1 10 in
+    let* nb_states = int_range 1 40 in
     let* transitions =
-      list_size (int_bound 25)
+      list_size (int_bound 120)
         (triple (int_bound (nb_states - 1))
            (oneofl [ "a"; "b"; "i" ])
            (int_bound (nb_states - 1)))
     in
     return (build ~nb_states ~initial:0 transitions))
 
-let bes_matches_eval_prop =
-  QCheck2.Test.make ~name:"BES solver agrees with direct evaluator" ~count:120
+let print_case (lts, f) =
+  let buffer = Buffer.create 256 in
+  Lts.iter_transitions lts (fun s l d ->
+      Buffer.add_string buffer
+        (Printf.sprintf "(%d, %s, %d) " s (Label.name (Lts.labels lts) l) d));
+  Format.asprintf "%d states: %s@.%a" (Lts.nb_states lts)
+    (Buffer.contents buffer) Formula.pp f
+
+let eval_matches_oracle_prop =
+  QCheck2.Test.make ~name:"eval = Knaster-Tarski oracle" ~count:600
+    ~print:print_case
     (QCheck2.Gen.pair lts_gen formula_gen)
-    (fun (lts, f) ->
-       Bitset.equal (Bes.sat lts f) (Eval.sat lts f))
+    (fun (lts, f) -> Bitset.equal (Eval.sat lts f) (Oracle.sat lts f))
+
+(* A 16,001-state ring (a-moves, closed by one b-move) entered from a
+   10-state a-tail whose first state can also step into a dead end.
+   Iterating the inner fixpoint of the first formula to stability under
+   each outer iterate costs the oracle 6-8 s here; the propagation does
+   a bounded amount of work per (subformula, state, transition). *)
+let test_deep_ring () =
+  let n = 16_001 in
+  let tail = n and dead = n + 10 in
+  let transitions =
+    List.init n (fun i -> if i < n - 1 then (i, "a", i + 1) else (i, "b", 0))
+    @ List.init 10 (fun j ->
+        (tail + j, "a", if j < 9 then tail + j + 1 else 0))
+    @ [ (tail, "c", dead) ]
+  in
+  let lts = build ~nb_states:(n + 11) ~initial:tail transitions in
+  let size_plus_edges = Lts.nb_states lts + Lts.nb_transitions lts in
+  let rec size = function
+    | Formula.True | Formula.False | Formula.Var _ -> 1
+    | Formula.Not f | Formula.Diamond (_, f) | Formula.Box (_, f)
+    | Formula.Mu (_, f) | Formula.Nu (_, f) ->
+      1 + size f
+    | Formula.And (a, b) | Formula.Or (a, b) | Formula.Implies (a, b) ->
+      1 + size a + size b
+  in
+  let all_but excluded =
+    List.filter
+      (fun s -> not (List.mem s excluded))
+      (List.init (Lts.nb_states lts) Fun.id)
+  in
+  Mv_obs.Obs.enable ();
+  let propagations () =
+    Mv_obs.Obs.(counter_value (counter "mcl.propagations"))
+  in
+  List.iter
+    (fun (text, expected) ->
+       let f = Parser.formula_of_string text in
+       let before = propagations () in
+       Alcotest.(check (list int)) text expected (sat_list lts f);
+       let work = propagations () - before in
+       let bound = 2 * size f * size_plus_edges in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %d propagations <= %d" text work bound)
+         true
+         (work > 0 && work <= bound))
+    [
+      ("[true*] <true* . b> true", all_but [ tail; dead ]);
+      ("mu X . <b> true or <a> X", all_but [ dead ]);
+    ]
 
 let suite =
   [
@@ -361,7 +488,10 @@ let suite =
     Alcotest.test_case "regex: combinators" `Quick test_regex_combinators;
     Alcotest.test_case "empty modalities" `Quick test_empty_modalities;
     Alcotest.test_case "tau modalities" `Quick test_tau_modalities;
-    Alcotest.test_case "bes: verdicts match evaluator" `Quick test_bes_basics;
-    Alcotest.test_case "bes: stats" `Quick test_bes_stats;
-    QCheck_alcotest.to_alcotest bes_matches_eval_prop;
+    Alcotest.test_case "eval = oracle: example formulas" `Quick
+      test_oracle_example;
+    Alcotest.test_case "eval = oracle: binder shapes" `Quick
+      test_oracle_binders;
+    QCheck_alcotest.to_alcotest eval_matches_oracle_prop;
+    Alcotest.test_case "deep ring: linear work" `Quick test_deep_ring;
   ]

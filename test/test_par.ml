@@ -1,7 +1,7 @@
 (* Tests for mv_par (pool, fork-join loop, split streams) and for the
    determinism contract of every pool-enabled engine: whatever -j N,
    branching refinement yields the identical partition, and the
-   transient, replication and steady-state results the same bits. *)
+   replication and steady-state results the same bits. *)
 
 module Pool = Mv_par.Pool
 module Ctmc = Mv_markov.Ctmc
@@ -131,8 +131,7 @@ let test_partitions_identical () =
 
 (* ---- solver determinism ---- *)
 
-(* A birth-death chain big enough (> 64 states) to engage the parallel
-   transient step. *)
+(* A birth-death chain of [n] states. *)
 let chain n =
   let transitions = ref [] in
   for s = 0 to n - 2 do
@@ -179,17 +178,6 @@ let test_steady_state_matches_sequential () =
          (with_pool domains (fun pool -> steady (Some pool)) = sequential))
     [ 2; 4 ]
 
-let test_transient_bitwise () =
-  let c = chain 100 in
-  let reference = Ctmc.transient c ~horizon:0.7 in
-  List.iter
-    (fun domains ->
-       let dist = with_pool domains (fun pool -> Ctmc.transient ~pool c ~horizon:0.7) in
-       Alcotest.(check bool)
-         (Printf.sprintf "transient -j %d bitwise" domains)
-         true (reference = dist))
-    [ 2; 4 ]
-
 let test_des_replications_bitwise () =
   let perf =
     Mv_core.Flow.Run.performance
@@ -233,8 +221,6 @@ let suite =
       test_partitions_identical;
     Alcotest.test_case "steady state bitwise at any -j" `Quick
       test_steady_state_matches_sequential;
-    Alcotest.test_case "transient bitwise at any -j" `Quick
-      test_transient_bitwise;
     Alcotest.test_case "DES replications bitwise at any -j" `Quick
       test_des_replications_bitwise;
   ]

@@ -320,6 +320,58 @@ let test_dispatch_budget () =
           ~budget:{ Proto.max_states = Some 2; wall_s = None })
      = Some Proto.Budget_exceeded)
 
+(* An ill-formed formula and a model whose vanishing states never reach
+   a rate are the user's faults: exit 2 and model_error, locally and on
+   the daemon, with a message that says what is wrong. *)
+let test_model_faults () =
+  let classified exn =
+    match Ops.classify exn with
+    | Some (kind, message, code) -> (kind, message, code)
+    | None -> Alcotest.fail ("unclassified: " ^ Printexc.to_string exn)
+  in
+  let kind, message, code =
+    classified (Mv_mcl.Formula.Ill_formed "unbound variable Y")
+  in
+  Alcotest.(check bool) "ill-formed formula is model_error" true
+    (kind = Proto.Model_error);
+  Alcotest.(check int) "ill-formed formula exits 2" 2 code;
+  Alcotest.(check string) "ill-formed formula message"
+    "ill-formed formula: unbound variable Y" message;
+  let kind, message, code = classified (Mv_imc.To_ctmc.Divergence 7) in
+  Alcotest.(check bool) "divergence is model_error" true
+    (kind = Proto.Model_error);
+  Alcotest.(check int) "divergence exits 2" 2 code;
+  Alcotest.(check bool) "divergence names the vanishing state" true
+    (Astring.String.is_infix ~affix:"vanishing state 7" message);
+  let model_error op args =
+    match dispatch op args with
+    | Error { Proto.kind = Proto.Model_error; message } -> message
+    | Error { Proto.message; _ } -> Alcotest.fail (op ^ ": " ^ message)
+    | Ok _ -> Alcotest.fail (op ^ ": expected model_error")
+  in
+  List.iter
+    (fun (formula, fault) ->
+       let message =
+         model_error "check"
+           (model_args
+              ~extra:[ ("formulas", Json.List [ Json.String formula ]) ]
+              ())
+       in
+       Alcotest.(check bool) (formula ^ ": " ^ message) true
+         (Astring.String.is_infix ~affix:fault message))
+    [
+      ("mu X . not X", "negation");
+      ("Y", "unbound variable Y");
+      ("nu X . mu Y . <a> X or <b> Y", "opposite sign");
+    ];
+  let message =
+    model_error "solve"
+      (Json.Obj
+         [ ("model", Json.String "process P := a ; b ; P\ninit P\n") ])
+  in
+  Alcotest.(check bool) ("solve: " ^ message) true
+    (Astring.String.is_infix ~affix:"vanishing state 0" message)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end server                                                   *)
 
@@ -709,6 +761,8 @@ let suite =
     Alcotest.test_case "cache sweep_tmp" `Quick test_sweep_tmp;
     Alcotest.test_case "dispatch basics" `Quick test_dispatch_basics;
     Alcotest.test_case "dispatch budgets" `Quick test_dispatch_budget;
+    Alcotest.test_case "model faults are model_error" `Quick
+      test_model_faults;
     Alcotest.test_case "server warm cache provenance" `Quick
       test_server_warm_cache;
     Alcotest.test_case "server budget vs concurrent request" `Quick
