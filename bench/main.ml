@@ -1199,7 +1199,8 @@ let e11_serve () =
   in
   (* One phase: client [i] issues the model ids [plan i] in order on
      its own connection; all clients run concurrently. Returns the
-     phase wall clock and every (latency, hits, misses). *)
+     phase wall clock and every (latency, server exec time, hits,
+     misses). *)
   let run_phase plan =
     let results = Array.make e11_clients [] in
     let worker i =
@@ -1218,7 +1219,7 @@ let e11_serve () =
                | Some provenance -> provenance
                | None -> (0, 0)
              in
-             (latency, hits, misses))
+             (latency, response.Proto.elapsed_s, hits, misses))
           (plan i)
     in
     let t0 = Unix.gettimeofday () in
@@ -1247,9 +1248,10 @@ let e11_serve () =
     List.map
       (fun (name, plan) ->
          let wall, results = run_phase plan in
-         let latencies = List.map (fun (l, _, _) -> l) results in
-         let hits = List.fold_left (fun a (_, h, _) -> a + h) 0 results in
-         let misses = List.fold_left (fun a (_, _, m) -> a + m) 0 results in
+         let latencies = List.map (fun (l, _, _, _) -> l) results in
+         let execs = List.map (fun (_, e, _, _) -> e) results in
+         let hits = List.fold_left (fun a (_, _, h, _) -> a + h) 0 results in
+         let misses = List.fold_left (fun a (_, _, _, m) -> a + m) 0 results in
          let requests = List.length results in
          let rps =
            if wall > 0.0 then float_of_int requests /. wall else 0.0
@@ -1260,23 +1262,21 @@ let e11_serve () =
            rps,
            1000.0 *. percentile 0.50 latencies,
            1000.0 *. percentile 0.99 latencies,
+           1000.0 *. percentile 0.50 execs,
            hits,
            misses ) )
       [ ("cold", cold_plan); ("warm", cold_plan); ("mixed", mixed_plan) ]
   in
-  let rps_of name =
+  let of_phase name pick =
     match
-      List.find_opt (fun (n, _, _, _, _, _, _, _) -> n = name) phases
-    with
-    | Some (_, _, _, rps, _, _, _, _) -> rps
-    | None -> 0.0
-  in
-  let pct_of name pick =
-    match
-      List.find_opt (fun (n, _, _, _, _, _, _, _) -> n = name) phases
+      List.find_opt (fun (n, _, _, _, _, _, _, _, _) -> n = name) phases
     with
     | Some phase -> pick phase
     | None -> 0.0
+  in
+  let rps_of name = of_phase name (fun (_, _, _, rps, _, _, _, _, _) -> rps) in
+  let exec_of name =
+    of_phase name (fun (_, _, _, _, _, _, exec, _, _) -> exec)
   in
   (* the server executed in this process, so its registry is ours:
      read the per-op request-latency quantiles it recorded *)
@@ -1288,6 +1288,12 @@ let e11_serve () =
   let warm_over_cold =
     let cold = rps_of "cold" in
     if cold > 0.0 then rps_of "warm" /. cold else 0.0
+  in
+  (* the same gap from the server's own per-request exec times (median
+     cold over median warm): no client-side queueing, no phase walls *)
+  let warm_over_cold_exec =
+    let warm = exec_of "warm" in
+    if warm > 0.0 then exec_of "cold" /. warm else 0.0
   in
   let gauges =
     Client.with_connection addr @@ fun conn ->
@@ -1302,15 +1308,16 @@ let e11_serve () =
     ~title:
       (Printf.sprintf
          "E11  mvald load bench: %d clients x %d requests/phase, %d workers, \
-          unix socket (warm/cold req/s %.1fx)"
-         e11_clients e11_per_client e11_workers warm_over_cold)
+          unix socket (warm/cold req/s %.1fx, cold/warm exec %.1fx)"
+         e11_clients e11_per_client e11_workers warm_over_cold
+         warm_over_cold_exec)
     ~header:
-      [ "phase"; "requests"; "wall s"; "req/s"; "p50 ms"; "p99 ms"; "hits";
-        "misses" ]
+      [ "phase"; "requests"; "wall s"; "req/s"; "p50 ms"; "p99 ms";
+        "exec p50 ms"; "hits"; "misses" ]
     (List.map
-       (fun (name, requests, wall, rps, p50, p99, hits, misses) ->
+       (fun (name, requests, wall, rps, p50, p99, exec, hits, misses) ->
           [ name; string_of_int requests; f wall; f rps; f p50; f p99;
-            string_of_int hits; string_of_int misses ])
+            f exec; string_of_int hits; string_of_int misses ])
        phases);
   bench_extra :=
     ( "e11",
@@ -1322,7 +1329,7 @@ let e11_serve () =
           ( "phases",
             Json.List
               (List.map
-                 (fun (name, requests, wall, rps, p50, p99, hits, misses) ->
+                 (fun (name, requests, wall, rps, p50, p99, exec, hits, misses) ->
                     Json.Obj
                       [
                         ("name", Json.String name);
@@ -1331,16 +1338,18 @@ let e11_serve () =
                         ("rps", Json.Float rps);
                         ("p50_ms", Json.Float p50);
                         ("p99_ms", Json.Float p99);
+                        ("exec_p50_ms", Json.Float exec);
                         ("hits", Json.Int hits);
                         ("misses", Json.Int misses);
                       ])
                  phases) );
           ("warm_over_cold_rps", Json.Float warm_over_cold);
+          ("warm_over_cold_exec", Json.Float warm_over_cold_exec);
           (* headline warm-path client latencies, plus the server's own
              per-op request-latency quantiles (shared in-process
              registry) — what CI's bench-smoke asserts on *)
-          ("warm_p50_ms", Json.Float (pct_of "warm" (fun (_, _, _, _, p50, _, _, _) -> p50)));
-          ("warm_p99_ms", Json.Float (pct_of "warm" (fun (_, _, _, _, _, p99, _, _) -> p99)));
+          ("warm_p50_ms", Json.Float (of_phase "warm" (fun (_, _, _, _, p50, _, _, _, _) -> p50)));
+          ("warm_p99_ms", Json.Float (of_phase "warm" (fun (_, _, _, _, _, p99, _, _, _) -> p99)));
           ( "server_latency_p50_ms",
             Json.Float (server_latency_quantile 0.50) );
           ( "server_latency_p99_ms",
@@ -1397,6 +1406,13 @@ let e12_target () =
   with Not_found -> 10_000_000
 
 let e12_hot_budget_mb = 128
+
+(* The out-of-core child is bounded by its own peak RSS (getrusage): it
+   may exceed the 2 x hot memory budget by this slack, which covers the
+   runtime, the minimizer's arrays and the mapped pages of the segment
+   and scratch files that the kernel leaves resident while memory is
+   free. A broken bound fails E12; nothing is retried. *)
+let e12_rss_slack_mb = 256
 
 let e12_instance target =
   let c = 9 in
@@ -1492,17 +1508,8 @@ let e12_ooc_pipeline ~target ~dir () =
     generate_s,
     minimize_s )
 
-(* child entry: enroll in the cgroup if told to, run the pipeline,
-   marshal the result to stdout *)
+(* child entry: run the pipeline, marshal the result to stdout *)
 let e12_child_main dir =
-  (match Sys.getenv_opt "MVAL_E12_CGROUP" with
-  | Some d -> (
-    try
-      let oc = open_out (Filename.concat d "cgroup.procs") in
-      output_string oc (string_of_int (Unix.getpid ()));
-      close_out oc
-    with _ -> ())
-  | None -> ());
   (* bound the GC's heap slack so the child's RSS tracks its live set;
      the extra collection work is noise next to the I/O *)
   Gc.set { (Gc.get ()) with Gc.space_overhead = 60 };
@@ -1531,37 +1538,9 @@ let e12_out_of_core () =
   let hot_budget_mb = e12_hot_budget_mb in
   let ooc_mvb = path "ooc.mvb" in
   let ooc_min_mvb = path "ooc_min.mvb" in
-  (* Best-effort cgroup-v1 memory limit: under the cap the kernel must
-     reclaim the mmap'd scratch/segment pages, so the child's peak RSS
-     is a measurement of the pipeline's true working set, not of how
-     many clean pages an idle kernel left resident. Absent permissions
-     (CI runners) the child simply runs uncapped. *)
-  let cgroup_make cap_bytes =
-    let d =
-      Printf.sprintf "/sys/fs/cgroup/memory/mv-e12-%d" (Unix.getpid ())
-    in
-    try
-      Unix.mkdir d 0o755;
-      let oc = open_out (Filename.concat d "memory.limit_in_bytes") in
-      output_string oc (string_of_int cap_bytes);
-      close_out oc;
-      Some d
-    with _ ->
-      (try Unix.rmdir d with _ -> ());
-      None
-  in
-  let cgroup_peak_kb d =
-    try
-      let ic = open_in (Filename.concat d "memory.max_usage_in_bytes") in
-      let v = int_of_string (String.trim (input_line ic)) in
-      close_in ic;
-      v / 1024
-    with _ -> 0
-  in
-  (* run the OOC pipeline in a child process (optionally enrolled in
-     the cgroup); its maxrss is then the OOC phase's own high-water,
-     not entangled with the parent's *)
-  let run_child cgroup =
+  (* run the OOC pipeline in a child process: its maxrss is then the
+     OOC phase's own high-water, not entangled with the parent's *)
+  let run_child () =
     let rd, wr = Unix.pipe () in
     let keep e =
       not (String.length e >= 9 && String.sub e 0 9 = "MVAL_E12_")
@@ -1570,13 +1549,10 @@ let e12_out_of_core () =
       Array.append
         (Array.of_seq
            (Seq.filter keep (Array.to_seq (Unix.environment ()))))
-        (Array.of_list
-           ((Printf.sprintf "MVAL_E12_CHILD=%s" dir)
-           :: (Printf.sprintf "MVAL_E12_STATES=%d" target)
-           ::
-           (match cgroup with
-           | Some d -> [ Printf.sprintf "MVAL_E12_CGROUP=%s" d ]
-           | None -> [])))
+        [|
+          Printf.sprintf "MVAL_E12_CHILD=%s" dir;
+          Printf.sprintf "MVAL_E12_STATES=%d" target;
+        |]
     in
     let pid =
       Unix.create_process_env Sys.executable_name
@@ -1597,37 +1573,19 @@ let e12_out_of_core () =
     | _ -> None
   in
   (* -- phase 1: out of core (bounded RAM) -- *)
-  (* tightest cap first; a child killed under a cap (anon set over the
-     limit, no swap) is retried one rung up, then uncapped, so the
-     section always reports — the JSON records which rung ran *)
-  let cap_ladder = [ 4096; 5632 ] in
-  let rec try_caps = function
-    | [] -> (run_child None, false, 0, 0)
-    | mb :: rest -> (
-      match cgroup_make (mb * 1024 * 1024) with
-      | None -> (run_child None, false, 0, 0)
-      | Some d ->
-        let r =
-          try run_child (Some d)
-          with e ->
-            (try Unix.rmdir d with _ -> ());
-            raise e
-        in
-        let peak = cgroup_peak_kb d in
-        (try Unix.rmdir d with _ -> ());
-        (match r with
-        | Some _ -> (r, true, mb, peak)
-        | None -> try_caps rest))
-  in
-  let ooc_res, ooc_capped, cap_mb, ooc_cgroup_peak_kb =
-    try_caps cap_ladder
-  in
   let (ooc_states, ooc_transitions, ooc_generate_s, ooc_minimize_s),
       ooc_maxrss_kb =
-    match ooc_res with
+    match run_child () with
     | Some r -> r
     | None -> failwith "E12: out-of-core pipeline failed in the child"
   in
+  let bound_mb = (2 * hot_budget_mb) + e12_rss_slack_mb in
+  if ooc_maxrss_kb > bound_mb * 1024 then
+    failwith
+      (Printf.sprintf
+         "E12: the out-of-core child peaked at %d MB RSS, over its bound of \
+          %d MB (%d MB budget + %d MB slack)"
+         (ooc_maxrss_kb / 1024) bound_mb (2 * hot_budget_mb) e12_rss_slack_mb);
   let ooc_minimized_states = (Mvb.stats ooc_min_mvb).Mvb.s_nb_states in
   (* -- phase 2: in RAM (the reference) -- *)
   let ram, ram_generate_s =
@@ -1692,10 +1650,7 @@ let e12_out_of_core () =
       [ "out-of-core";
         Printf.sprintf "%.1fs" ooc_generate_s;
         Printf.sprintf "%.1fs" ooc_minimize_s;
-        (if ooc_capped then
-           Printf.sprintf "%d MB (cap %d MB)" (ooc_maxrss_kb / 1024)
-             cap_mb
-         else Printf.sprintf "%d MB (uncapped)" (ooc_maxrss_kb / 1024)) ];
+        Printf.sprintf "%d MB (bound %d MB)" (ooc_maxrss_kb / 1024) bound_mb ];
       [ "in-RAM";
         Printf.sprintf "%.1fs" ram_generate_s;
         Printf.sprintf "%.1fs" ram_minimize_s;
@@ -1720,9 +1675,7 @@ let e12_out_of_core () =
           ("mvb_bytes", Json.Int file_bytes);
           ("hot_budget_mb", Json.Int hot_budget_mb);
           ("mem_budget_mb", Json.Int (2 * hot_budget_mb));
-          ("ooc_capped", Json.Bool ooc_capped);
-          ("ooc_cap_mb", Json.Int (if ooc_capped then cap_mb else 0));
-          ("ooc_cgroup_peak_kb", Json.Int ooc_cgroup_peak_kb);
+          ("ooc_rss_bound_mb", Json.Int bound_mb);
           ("ooc_generate_wall_s", Json.Float ooc_generate_s);
           ("ooc_minimize_wall_s", Json.Float ooc_minimize_s);
           ("ram_generate_wall_s", Json.Float ram_generate_s);

@@ -185,31 +185,19 @@ let partition ?pool ?(divergence_sensitive = false) lts =
 let minimize ?pool ?(divergence_sensitive = false) lts =
   let ((_, component, divergent) as collapsed) = collapse lts in
   let p = partition_collapsed ?pool ~divergence_sensitive lts collapsed in
-  let quotient = Quotient.weak lts p in
-  let quotient =
-    if not divergence_sensitive then quotient
+  let divergent =
+    if not divergence_sensitive then None
     else begin
-      (* restore a tau self-loop on every block containing a divergent
-         original state (inert taus inside a tau-SCC were dropped) *)
-      let needs_loop = Hashtbl.create 8 in
+      (* a tau self-loop on every block containing a divergent
+         original state (inert taus inside a tau-SCC are dropped) *)
+      let loops = Array.make p.Partition.count false in
       Array.iteri
-        (fun s c ->
-           if divergent.(c) then Hashtbl.replace needs_loop p.Partition.block_of.(s) ())
+        (fun s c -> if divergent.(c) then loops.(p.Partition.block_of.(s)) <- true)
         component;
-      if Hashtbl.length needs_loop = 0 then quotient
-      else begin
-        let transitions = ref [] in
-        Lts.iter_transitions quotient (fun s l d -> transitions := (s, l, d) :: !transitions);
-        Hashtbl.iter
-          (fun block () -> transitions := (block, Label.tau, block) :: !transitions)
-          needs_loop;
-        Lts.make ~nb_states:(Lts.nb_states quotient)
-          ~initial:(Lts.initial quotient)
-          ~labels:(Lts.labels quotient) !transitions
-      end
+      Some loops
     end
   in
-  Lts.restrict_reachable quotient
+  Lts.restrict_reachable (Quotient.weak ?divergent lts p)
 
 let equivalent ?pool ?(divergence_sensitive = false) a b =
   let union, offset = Union.disjoint a b in

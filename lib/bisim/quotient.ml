@@ -1,15 +1,16 @@
 module Lts = Mv_lts.Lts
 module Label = Mv_lts.Label
 
-let build ~drop_inert_tau lts (p : Partition.t) =
+let weak ?divergent lts (p : Partition.t) =
   let transitions = ref [] in
   Lts.iter_transitions lts (fun src label dst ->
       let bs = p.block_of.(src) and bd = p.block_of.(dst) in
-      let inert = drop_inert_tau && label = Label.tau && bs = bd in
-      if not inert then transitions := (bs, label, bd) :: !transitions);
+      if not (label = Label.tau && bs = bd) then
+        transitions := (bs, label, bd) :: !transitions);
+  Option.iter
+    (Array.iteri (fun b loop ->
+         if loop then transitions := (b, Label.tau, b) :: !transitions))
+    divergent;
   Lts.make ~nb_states:p.count
     ~initial:p.block_of.(Lts.initial lts)
     ~labels:(Lts.labels lts) !transitions
-
-let strong lts p = build ~drop_inert_tau:false lts p
-let weak lts p = build ~drop_inert_tau:true lts p

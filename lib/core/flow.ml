@@ -253,11 +253,11 @@ module Run = struct
       Mv_store.Mvb.Stream.abort writer;
       raise exn
 
-  (* Out-of-core strong minimization: the transition relation is read
-     through an mmap'd segment reader and the CSR indexes live in mmap
-     scratch, so resident memory is O(states) for the partition plus
-     the quotient — not O(transitions). The output file is
-     byte-identical to minimizing the materialized LTS. *)
+  (* Out-of-core strong minimization: Strong's one minimizer replays
+     the transitions through an mmap'd segment reader and keeps its
+     reverse CSR in mmap scratch, so neither the transitions nor their
+     index are held on the heap. The output file is byte-identical to
+     minimizing the materialized LTS. *)
   let minimize_mvb (config : Config.t) equivalence ~src ~dst =
     (match equivalence with
      | Strong -> ()
@@ -267,68 +267,21 @@ module Run = struct
             (equivalence_name equivalence)));
     Obs.span "flow.minimize_ooc" @@ fun () ->
     budget_tick config;
-    let seg = Mv_store.Mvb.Segment.openfile src in
-    let n = Mv_store.Mvb.Segment.nb_states seg in
-    let m = Mv_store.Mvb.Segment.nb_transitions seg in
-    budget_states config n;
+    let module Segment = Mv_store.Mvb.Segment in
+    let seg = Segment.openfile src in
+    budget_states config (Segment.nb_states seg);
     let scratch =
       match config.scratch_dir with
       | Some d -> d
       | None -> Filename.dirname dst
     in
-    let mode = Mv_kern.Csr.Scratch scratch in
-    let iter f = Mv_store.Mvb.Segment.iter_all seg f in
-    let fwd = Mv_kern.Csr.forward_iter ~mode ~n ~m iter in
-    let rev = Mv_kern.Csr.reverse_iter ~mode ~n ~m iter in
-    let labels = Mv_store.Mvb.Segment.labels seg in
-    let block_of, count =
-      Mv_kern.Refine.strong ~pool:None ~nb_labels:(Label.count labels) ~fwd
-        ~rev
+    let minimized =
+      Mv_bisim.Strong.minimize_sweep ~mode:(Mv_kern.Csr.Scratch scratch)
+        ~nb_states:(Segment.nb_states seg)
+        ~nb_transitions:(Segment.nb_transitions seg)
+        ~initial:(Segment.initial seg) ~labels:(Segment.labels seg)
+        (Segment.iter_all seg)
     in
-    (* quotient without materializing the input: one more segment
-       sweep, deduplicating mapped transitions as they appear (the
-       distinct set is as small as the minimized system). The mapped
-       triple packs into one immediate int whenever count^2 * labels
-       fits a word — always, short of 10^9-block quotients — so the
-       sweep allocates nothing per transition and the table holds
-       unboxed keys. *)
-    let nl = Label.count labels in
-    let transitions =
-      if
-        count > 0 && nl > 0
-        && count < 1 lsl 30
-        && nl < 1 lsl 30
-        && nl * count <= max_int / count
-      then begin
-        let distinct : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
-        Mv_store.Mvb.Segment.iter_all seg (fun s l d ->
-            let key = ((block_of.(s) * nl) + l) * count + block_of.(d) in
-            if not (Hashtbl.mem distinct key) then
-              Hashtbl.replace distinct key ());
-        Hashtbl.fold
-          (fun k () acc ->
-            let bd = k mod count in
-            let r = k / count in
-            (r / nl, r mod nl, bd) :: acc)
-          distinct []
-      end
-      else begin
-        let distinct : (int * int * int, unit) Hashtbl.t =
-          Hashtbl.create 4096
-        in
-        Mv_store.Mvb.Segment.iter_all seg (fun s l d ->
-            let key = (block_of.(s), l, block_of.(d)) in
-            if not (Hashtbl.mem distinct key) then
-              Hashtbl.replace distinct key ());
-        Hashtbl.fold (fun t () acc -> t :: acc) distinct []
-      end
-    in
-    let quotient =
-      Lts.make ~nb_states:count
-        ~initial:block_of.(Mv_store.Mvb.Segment.initial seg)
-        ~labels transitions
-    in
-    let minimized = Lts.restrict_reachable quotient in
     Mv_store.Mvb.write_file dst minimized;
     minimized
 

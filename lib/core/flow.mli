@@ -166,14 +166,15 @@ module Run : sig
   val generate_mvb :
     Config.t -> Mv_calc.Ast.spec -> out:string -> Mv_lts.Explore.ooc_outcome
 
-  (** Out-of-core strong minimization, [.mvb] file to [.mvb] file: the
-      input is read through an mmap'd {!Mv_store.Mvb.Segment}, the CSR
-      indexes are built into mmap scratch ({!Mv_kern.Csr.Scratch}),
-      and the quotient is deduplicated on the fly — resident memory is
-      O(states), not O(transitions). [dst] is byte-identical to
-      minimizing the materialized LTS and writing it. Returns the
-      minimized LTS (it is small). Only [Strong] is supported
-      out-of-core; other equivalences raise [Invalid_argument]. *)
+  (** Out-of-core strong minimization, [.mvb] file to [.mvb] file:
+      {!Mv_bisim.Strong.minimize_sweep}, the minimizer of {!minimize},
+      replays the input through an mmap'd {!Mv_store.Mvb.Segment} and
+      builds its reverse CSR index into mmap scratch
+      ({!Mv_kern.Csr.Scratch}), so neither is held on the heap. [dst]
+      is byte-identical to minimizing the materialized LTS and writing
+      it. Returns the minimized LTS (it is small). Only [Strong] is
+      supported out-of-core; other equivalences raise
+      [Invalid_argument]. *)
   val minimize_mvb :
     Config.t -> equivalence -> src:string -> dst:string -> Mv_lts.Lts.t
 

@@ -2,13 +2,12 @@ module Obs = Mv_obs.Obs
 
 (* The coarsest strong bisimulation partition, renumbered canonically
    (Part.assignment: by first occurrence in state order). *)
-let refine ~nb_labels ~fwd ~rev =
-  let n = Csr.nb_rows fwd in
+let refine ~nb_labels ~deterministic ~rev =
+  let n = Csr.nb_rows rev in
   let splitters = Obs.counter "kern.splitters" in
   let splits = Obs.counter "kern.splits" in
   let qlen = Obs.series "kern.queue" in
   let p = Part.create n in
-  let small_half_only = Csr.deterministic fwd in
   (* worklist of splitter blocks, as a stack with membership flags *)
   let queue = Array.make n 0 in
   let qtop = ref 0 in
@@ -113,7 +112,7 @@ let refine ~nb_labels ~fwd ~rev =
             let smaller, larger =
               if Part.size p c <= Part.size p x then (c, x) else (x, c)
             in
-            if small_half_only then enqueue smaller
+            if deterministic then enqueue smaller
             else begin
               (* both halves; push the larger first so the smaller is
                  popped first *)
@@ -126,10 +125,8 @@ let refine ~nb_labels ~fwd ~rev =
   done;
   Part.assignment p
 
-(* [refine] reads [fwd] only before its worklist starts, and [strong]
-   tail-calls it, so no frame here keeps [fwd] reachable while the
-   worklist runs: out of core, the GC may then release its mmap'd
-   scratch. A body inside the span's closure would hold [fwd] (through
-   the closure) to the end. *)
+let partition ~nb_labels ~deterministic ~rev =
+  Obs.span "kern.strong" @@ fun () -> refine ~nb_labels ~deterministic ~rev
+
 let strong ~pool:_ ~nb_labels ~fwd ~rev =
-  Obs.span "kern.strong" @@ fun () -> refine ~nb_labels ~fwd ~rev
+  partition ~nb_labels ~deterministic:(Csr.deterministic fwd) ~rev

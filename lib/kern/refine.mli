@@ -6,6 +6,7 @@
     {e splitter} blocks and, for each one popped, walks only the
     predecessors of its states through the reverse CSR index, grouping
     them per label and splitting their blocks at the mark boundary.
+    The reverse index is the only adjacency it reads.
 
     Queueing discipline: when a block [X] splits into [X] and [C],
     - if [X] was still queued, only [C] is added (splitting against
@@ -27,12 +28,21 @@
     processed) and [kern.splits] (blocks cut), series [kern.queue]
     (worklist length at each pop), span [kern.strong]. *)
 
-(** [strong ~pool ~nb_labels ~fwd ~rev] computes the coarsest strong
-    bisimulation partition, sequentially. Returns [(block_of, count)]
-    with block ids renumbered by first occurrence in state order — the
-    exact numbering of the legacy signature-refinement engine, making
-    the resulting quotient LTSs byte-identical. [pool] is ignored; it
-    stays for callers written against the engine that used it. *)
+(** [partition ~nb_labels ~deterministic ~rev] computes the coarsest
+    strong bisimulation partition of the transition relation indexed
+    by [rev] (a {!Csr.reverse} index), sequentially. [deterministic]
+    must be [false] unless every (state, label) pair has at most one
+    successor; it selects the smaller-half discipline above. Returns
+    [(block_of, count)] with block ids renumbered by first occurrence
+    in state order — the exact numbering of the legacy
+    signature-refinement engine, making the resulting quotient LTSs
+    byte-identical. *)
+val partition :
+  nb_labels:int -> deterministic:bool -> rev:Csr.t -> int array * int
+
+(** [strong ~pool ~nb_labels ~fwd ~rev] is {!partition} with the
+    determinism flag read off the forward index [fwd]. [pool] is
+    ignored. *)
 val strong :
   pool:Mv_par.Pool.t option ->
   nb_labels:int ->

@@ -1,7 +1,5 @@
 module Bitset = Mv_util.Bitset
 
-type rev = { rrow : int array; rlbl : int array; rsrc : int array }
-
 type t = {
   nb_states : int;
   initial : int;
@@ -11,10 +9,6 @@ type t = {
   lbl : int array;
   dst : int array;
   row : int array; (* row.(s) .. row.(s+1)-1 are the transitions of s *)
-  (* reverse index (rows by dst), built lazily on first use. Rebuilding
-     it twice from concurrent domains is harmless: both builds produce
-     identical arrays and either write wins. *)
-  mutable rev : rev option;
 }
 
 (* Sort the row [lo, hi) of the parallel arrays [lbl]/[dst] on (label,
@@ -91,7 +85,7 @@ let make_array ~nb_states ~initial ~labels transitions =
   done;
   let lbl = if m = n then lbl else Array.sub lbl 0 (max m 1)
   and dst = if m = n then dst else Array.sub dst 0 (max m 1) in
-  { nb_states; initial; labels; src; lbl; dst; row; rev = None }
+  { nb_states; initial; labels; src; lbl; dst; row }
 
 let make ~nb_states ~initial ~labels transitions =
   make_array ~nb_states ~initial ~labels (Array.of_list transitions)
@@ -117,51 +111,6 @@ let iter_transitions t f =
   for i = 0 to nb_transitions t - 1 do
     f t.src.(i) t.lbl.(i) t.dst.(i)
   done
-
-let reverse_index t =
-  match t.rev with
-  | Some r -> r
-  | None ->
-    let m = nb_transitions t in
-    let rrow = Array.make (t.nb_states + 1) 0 in
-    let rlbl = Array.make (max m 1) 0 in
-    let rsrc = Array.make (max m 1) 0 in
-    for i = 0 to m - 1 do
-      rrow.(t.dst.(i) + 1) <- rrow.(t.dst.(i) + 1) + 1
-    done;
-    for s = 1 to t.nb_states do
-      rrow.(s) <- rrow.(s) + rrow.(s - 1)
-    done;
-    let fill = Array.copy rrow in
-    for i = 0 to m - 1 do
-      let j = fill.(t.dst.(i)) in
-      rlbl.(j) <- t.lbl.(i);
-      rsrc.(j) <- t.src.(i);
-      fill.(t.dst.(i)) <- j + 1
-    done;
-    let r = { rrow; rlbl; rsrc } in
-    t.rev <- Some r;
-    r
-
-let iter_in t s f =
-  let r = reverse_index t in
-  for i = r.rrow.(s) to r.rrow.(s + 1) - 1 do
-    f r.rlbl.(i) r.rsrc.(i)
-  done
-
-let in_degree t s =
-  let r = reverse_index t in
-  r.rrow.(s + 1) - r.rrow.(s)
-
-let in_adjacency t =
-  let preds = Array.make t.nb_states [] in
-  for s = 0 to t.nb_states - 1 do
-    (* collect in reverse so each list comes out in index order *)
-    let acc = ref [] in
-    iter_in t s (fun l src -> acc := (l, src) :: !acc);
-    preds.(s) <- List.rev !acc
-  done;
-  preds
 
 let has_transition t s l d =
   (* binary search in the sorted row of s *)

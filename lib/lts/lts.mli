@@ -45,20 +45,6 @@ val out_degree : t -> int -> int
     transition. *)
 val iter_transitions : t -> (int -> int -> int -> unit) -> unit
 
-(** [iter_in lts s f] applies [f label src] to every incoming
-    transition of [s], in global [(src, label, dst)] order. The flat
-    reverse index behind it is built on first use and cached on the
-    LTS, so after the first call iteration is allocation-free. *)
-val iter_in : t -> int -> (int -> int -> unit) -> unit
-
-(** [in_degree lts s] is the number of incoming transitions of [s]. *)
-val in_degree : t -> int -> int
-
-(** Incoming-transition index: [in_adjacency lts] is an array mapping
-    each state to its list of [(label, src)] predecessors ([iter_in]
-    order). Callers should reuse the result. *)
-val in_adjacency : t -> (int * int) list array
-
 (** [has_transition lts src label dst] — membership test. *)
 val has_transition : t -> int -> int -> int -> bool
 

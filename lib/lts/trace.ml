@@ -2,27 +2,35 @@ module Bitset = Mv_util.Bitset
 
 type t = { labels : string list; destination : int }
 
-(* BFS with per-state parent pointers; the parent array stores the
-   (predecessor, label) pair used to discover each state. *)
-let bfs lts =
+(* BFS with per-state parent pointers, stopping at the first state
+   [stop] accepts (states are popped in BFS order, so its path is a
+   shortest one); the parent array stores the (predecessor, label) pair
+   used to discover each state. *)
+let bfs lts ~stop =
   let n = Lts.nb_states lts in
   let parent = Array.make n None in
   let seen = Bitset.create n in
   let queue = Queue.create () in
   Bitset.add seen (Lts.initial lts);
   Queue.add (Lts.initial lts) queue;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    order := s :: !order;
-    Lts.iter_out lts s (fun label dst ->
-        if not (Bitset.mem seen dst) then begin
-          Bitset.add seen dst;
-          parent.(dst) <- Some (s, label);
-          Queue.add dst queue
-        end)
-  done;
-  (parent, List.rev !order)
+  let rec loop () =
+    if Queue.is_empty queue then None
+    else begin
+      let s = Queue.pop queue in
+      if stop s then Some s
+      else begin
+        Lts.iter_out lts s (fun label dst ->
+            if not (Bitset.mem seen dst) then begin
+              Bitset.add seen dst;
+              parent.(dst) <- Some (s, label);
+              Queue.add dst queue
+            end);
+        loop ()
+      end
+    end
+  in
+  let found = loop () in
+  (parent, found)
 
 let rebuild lts parent destination =
   let labels = ref [] in
@@ -37,16 +45,12 @@ let rebuild lts parent destination =
   { labels = !labels; destination }
 
 let shortest_to_state lts ~goal =
-  let parent, order = bfs lts in
-  let found = List.find_opt goal order in
+  let parent, found = bfs lts ~stop:goal in
   Option.map (rebuild lts parent) found
 
 let shortest_to_action lts ~action =
-  (* BFS order gives shortest paths to states; the shortest trace
-     ending in a matching action is the shortest path to a source of a
-     matching transition, plus that transition. We scan states in BFS
-     order and take the first with a matching outgoing transition. *)
-  let parent, order = bfs lts in
+  (* the shortest trace ending in a matching action is the shortest
+     path to a source of a matching transition, plus that transition *)
   let matching s =
     Lts.fold_out lts s
       (fun label dst acc ->
@@ -57,16 +61,13 @@ let shortest_to_action lts ~action =
            if action name then Some (name, dst) else None)
       None
   in
-  let rec scan = function
-    | [] -> None
-    | s :: rest -> (
-        match matching s with
-        | Some (name, dst) ->
-          let prefix = rebuild lts parent s in
-          Some { labels = prefix.labels @ [ name ]; destination = dst }
-        | None -> scan rest)
-  in
-  scan order
+  let parent, found = bfs lts ~stop:(fun s -> matching s <> None) in
+  Option.map
+    (fun s ->
+       let name, dst = Option.get (matching s) in
+       let prefix = rebuild lts parent s in
+       { labels = prefix.labels @ [ name ]; destination = dst })
+    found
 
 let shortest_to_deadlock lts =
   shortest_to_state lts ~goal:(fun s -> Lts.out_degree lts s = 0)

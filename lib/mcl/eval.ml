@@ -66,9 +66,8 @@ let sat lts formula =
   in
   (* the incoming transitions of each state, as [src lsl bits lor
      label], built on first use and shared by the regions. The index is
-     the call's own, not the one {!Lts.iter_in} caches on the LTS: it is
-     garbage once the call returns, where a cached one would live as
-     long as the LTS. *)
+     the call's own: it is garbage once the call returns, where one
+     cached on the LTS would live as long as the LTS. *)
   let bits =
     let labels = Mv_lts.Label.count (Lts.labels lts) in
     let rec width b = if 1 lsl b >= labels then b else width (b + 1) in

@@ -65,6 +65,12 @@ let check f =
   in
   walk [] f
 
+let invariant = function
+  | Nu (x, And (phi, Box (Action_formula.Any, Var y)))
+    when x = y && StringSet.is_empty (free_vars phi) ->
+    Some phi
+  | _ -> None
+
 let rec pp fmt = function
   | True -> Format.pp_print_string fmt "true"
   | False -> Format.pp_print_string fmt "false"

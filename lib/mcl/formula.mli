@@ -52,6 +52,13 @@ end
 (** Validate the restrictions above. *)
 val check : t -> unit
 
+(** [invariant f] is [Some phi] when [f] is [nu X . (phi and \[any\] X)]
+    with [phi] closed: [phi] holds on every reachable state. This is the
+    shape of [\[true*\] phi], {!Macro.always} [phi] and
+    {!Macro.deadlock_free}; a violation is witnessed by a path to a
+    state outside [phi]. *)
+val invariant : t -> t option
+
 val pp : Format.formatter -> t -> unit
 
 (** Common property patterns. *)

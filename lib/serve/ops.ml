@@ -113,13 +113,14 @@ let check_texts ?engine:_ ~deadlock ~formulas lts =
            Buffer.add_string buffer (Printf.sprintf "%-60s holds\n" name)
          else begin
            incr failures;
-           (* the deadlock check shows a shortest trace into a
-              deadlock; a violated formula fails at the initial state
-              itself, where no trace helps *)
+           (* a violated invariant shows a shortest trace into a state
+              where its body fails (for deadlock freedom, a deadlock);
+              any other formula fails at the initial state itself,
+              where no trace helps *)
            let witness =
-             if name = "deadlock freedom" then
-               Mv_lts.Trace.shortest_to_deadlock lts
-             else None
+             Option.bind (Mv_mcl.Formula.invariant formula) (fun phi ->
+                 Mv_lts.Trace.shortest_to_violation lts
+                   ~sat:(Mv_mcl.Eval.sat lts phi))
            in
            match witness with
            | Some t ->

@@ -47,8 +47,10 @@ val compare_texts :
   Mv_lts.Lts.t ->
   texts
 
-(** [mval check]: one verdict line per property (a shortest witness
-    trace when deadlock freedom is violated); formulas are parsed here
+(** [mval check]: one verdict line per property, with a shortest
+    witness trace when an invariant ({!Mv_mcl.Formula.invariant}:
+    deadlock freedom, [\[true*\] phi], [always phi]) is violated,
+    into a state where its body fails; formulas are parsed here
     so a parse error raises the same exception locally and remotely.
     Each formula is evaluated once ({!Mv_mcl.Eval.holds}). [engine] is
     ignored; it stays for callers written against the two checkers

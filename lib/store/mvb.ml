@@ -213,12 +213,17 @@ let read_source source =
   let i = ref 0 in
   for s = 0 to nb_states - 1 do
     let degree = read_varint transitions in
+    let last_l = ref (-1) and last_d = ref (-1) in
     for _ = 1 to degree do
       if !i >= nb_transitions then corrupt "more transitions than declared";
       let l = read_varint transitions in
       let d = read_varint transitions in
       if l >= nb_labels then corrupt "label index %d out of range" l;
       if d >= nb_states then corrupt "destination state %d out of range" d;
+      if l < !last_l || (l = !last_l && d <= !last_d) then
+        corrupt "transitions of state %d out of order" s;
+      last_l := l;
+      last_d := d;
       triples.(!i) <- (s, l, d);
       incr i
     done
@@ -538,13 +543,18 @@ module Segment = struct
     for s = 0 to nb_states - 1 do
       if s mod stride = 0 then dir.(s / stride) <- !cursor;
       let degree = read_varint_at map ~hi cursor in
+      let last_l = ref (-1) and last_d = ref (-1) in
       for _ = 1 to degree do
         if !seen >= nb_transitions then corrupt "more transitions than declared";
         incr seen;
         let l = read_varint_at map ~hi cursor in
         let d = read_varint_at map ~hi cursor in
         if l >= nb_labels then corrupt "label index %d out of range" l;
-        if d >= nb_states then corrupt "destination state %d out of range" d
+        if d >= nb_states then corrupt "destination state %d out of range" d;
+        if l < !last_l || (l = !last_l && d <= !last_d) then
+          corrupt "transitions of state %d out of order" s;
+        last_l := l;
+        last_d := d
       done
     done;
     if !seen <> nb_transitions then

@@ -50,8 +50,17 @@ module Strong = struct
             Lts.fold_out lts s (fun l d acc -> (l, p.block_of.(d)) :: acc) []
             |> List.sort_uniq compare))
 
+  (* the union of every transition's image, where the lib/ engine
+     reads one state per block *)
   let minimize lts =
-    Lts.restrict_reachable (Mv_bisim.Quotient.strong lts (partition lts))
+    let p = partition lts in
+    let transitions = ref [] in
+    Lts.iter_transitions lts (fun s l d ->
+        transitions := (p.block_of.(s), l, p.block_of.(d)) :: !transitions);
+    Lts.restrict_reachable
+      (Lts.make ~nb_states:p.count
+         ~initial:p.block_of.(Lts.initial lts)
+         ~labels:(Lts.labels lts) !transitions)
 end
 
 (* Blom-Orzan: a state's signature is the set of (label, block) moves

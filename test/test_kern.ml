@@ -54,16 +54,18 @@ let test_csr_reverse_matches_iter_in () =
   in
   let rev = Csr.reverse lts in
   Alcotest.(check int) "entries" 5 (Csr.nb_entries rev);
+  (* incoming (label, src) lists, newest first, in transition order *)
+  let incoming = Array.make 4 [] in
+  Lts.iter_transitions lts (fun src l d ->
+      incoming.(d) <- (l, src) :: incoming.(d));
   for s = 0 to 3 do
-    let from_lts = ref [] in
-    Lts.iter_in lts s (fun l src -> from_lts := (l, src) :: !from_lts);
     let from_csr = ref [] in
     for i = Arr.get rev.Csr.row (s + 1) - 1 downto Arr.get rev.Csr.row s do
       from_csr := (Arr.get rev.Csr.lbl i, Arr.get rev.Csr.col i) :: !from_csr
     done;
     Alcotest.(check (list (pair int int)))
       (Printf.sprintf "row %d" s)
-      (List.rev !from_lts) !from_csr
+      (List.rev incoming.(s)) !from_csr
   done
 
 let test_csr_deterministic () =

@@ -55,38 +55,7 @@ let test_out_iteration () =
   Lts.iter_out lts 0 (fun _ _ -> incr count);
   Alcotest.(check int) "iter_out" 2 !count;
   let sum = Lts.fold_out lts 0 (fun _ d acc -> acc + d) 0 in
-  Alcotest.(check int) "fold_out targets" 3 sum;
-  let preds = Lts.in_adjacency lts in
-  Alcotest.(check int) "preds of 2" 2 (List.length preds.(2))
-
-let test_in_iteration () =
-  let lts =
-    build ~nb_states:4 ~initial:0
-      [ (0, "a", 1); (0, "b", 2); (1, "a", 2); (2, "c", 0); (3, "a", 2) ]
-  in
-  let preds = Lts.in_adjacency lts in
-  for s = 0 to 3 do
-    Alcotest.(check int)
-      (Printf.sprintf "in_degree %d" s)
-      (List.length preds.(s)) (Lts.in_degree lts s);
-    let via_iter = ref [] in
-    Lts.iter_in lts s (fun l src -> via_iter := (l, src) :: !via_iter);
-    Alcotest.(check (list (pair int int)))
-      (Printf.sprintf "iter_in %d" s)
-      preds.(s)
-      (List.rev !via_iter)
-  done;
-  (* every incoming transition is a real transition, and the counts add
-     up to the transition count *)
-  let total = ref 0 in
-  for s = 0 to 3 do
-    Lts.iter_in lts s (fun l src ->
-        incr total;
-        Alcotest.(check bool) "transition exists" true
-          (Lts.has_transition lts src l s))
-  done;
-  Alcotest.(check int) "degrees sum to m" (Lts.nb_transitions lts) !total;
-  Alcotest.(check int) "no preds" 0 (Lts.in_degree lts 3)
+  Alcotest.(check int) "fold_out targets" 3 sum
 
 let test_deadlocks () =
   let lts = build ~nb_states:3 ~initial:0 [ (0, "a", 1) ] in
@@ -354,7 +323,6 @@ let suite =
     Alcotest.test_case "make dedups" `Quick test_make_dedup;
     Alcotest.test_case "make validates" `Quick test_make_invalid;
     Alcotest.test_case "out iteration" `Quick test_out_iteration;
-    Alcotest.test_case "in iteration" `Quick test_in_iteration;
     Alcotest.test_case "deadlocks" `Quick test_deadlocks;
     Alcotest.test_case "reachable/restrict" `Quick test_reachable_restrict;
     Alcotest.test_case "hide/rename" `Quick test_hide_rename;

@@ -320,6 +320,31 @@ let test_dispatch_budget () =
           ~budget:{ Proto.max_states = Some 2; wall_s = None })
      = Some Proto.Budget_exceeded)
 
+(* A violated invariant shows a shortest trace into a state where its
+   body fails; deadlock freedom is one, with the deadlock as that
+   state. Any other violated formula shows no trace. *)
+let test_check_witnesses () =
+  let labels = Mv_lts.Label.create () in
+  let lts =
+    Mv_lts.Lts.make ~nb_states:4 ~initial:0 ~labels
+      (List.map
+         (fun (s, l, d) -> (s, Mv_lts.Label.intern labels l, d))
+         [ (0, "go", 1); (1, "work", 2); (2, "done", 0); (2, "i", 3) ])
+  in
+  let texts =
+    Ops.check_texts ~deadlock:true
+      ~formulas:[ "[true*] <go | done> true"; "<done> true"; "[true*] <any> true" ]
+      lts
+  in
+  let line name verdict = Printf.sprintf "%-60s %s\n" name verdict in
+  Alcotest.(check string) "verdicts"
+    (line "deadlock freedom" "VIOLATED (witness: go; work; i)"
+    ^ line "[true*] <go | done> true" "VIOLATED (witness: go)"
+    ^ line "<done> true" "VIOLATED"
+    ^ line "[true*] <any> true" "VIOLATED (witness: go; work; i)")
+    texts.Ops.out;
+  Alcotest.(check int) "exit code" 1 texts.Ops.code
+
 (* An ill-formed formula and a model whose vanishing states never reach
    a rate are the user's faults: exit 2 and model_error, locally and on
    the daemon, with a message that says what is wrong. *)
@@ -761,6 +786,7 @@ let suite =
     Alcotest.test_case "cache sweep_tmp" `Quick test_sweep_tmp;
     Alcotest.test_case "dispatch basics" `Quick test_dispatch_basics;
     Alcotest.test_case "dispatch budgets" `Quick test_dispatch_budget;
+    Alcotest.test_case "check witnesses" `Quick test_check_witnesses;
     Alcotest.test_case "model faults are model_error" `Quick
       test_model_faults;
     Alcotest.test_case "server warm cache provenance" `Quick

@@ -94,6 +94,42 @@ let test_mvb_corruption () =
   expect_corrupt "trailing garbage" (fun () -> Mvb.of_string (encoded ^ "x"));
   expect_corrupt "bad magic" (fun () -> Mvb.of_string ("XYZ" ^ encoded))
 
+(* Well-framed files (every CRC holds) whose state 0 lists its moves
+   out of canonical (label, dst) order, or twice: both readers refuse
+   them, so a replay of a file's transitions is always canonical. *)
+let test_mvb_canonical_rows () =
+  let v = Mvb.Varint.to_string in
+  let u32le n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+  let section tag payload =
+    String.make 1 tag ^ v (String.length payload) ^ payload
+    ^ u32le (Mvb.crc32 payload)
+  in
+  let file moves =
+    "MVB\x01\x01"
+    ^ section 'M' (v 2 ^ v 0 ^ v 2 ^ v (List.length moves))
+    ^ section 'L' (v 1 ^ "i" ^ v 1 ^ "a")
+    ^ section 'T'
+        (v (List.length moves)
+        ^ String.concat "" (List.map (fun (l, d) -> v l ^ v d) moves)
+        ^ v 0)
+    ^ "E"
+  in
+  Alcotest.(check int) "canonical file reads" 2
+    (Lts.nb_transitions (Mvb.of_string (file [ (0, 1); (1, 1) ])));
+  in_sandbox (fun dir ->
+      List.iter
+        (fun (name, moves) ->
+           expect_corrupt name (fun () -> Mvb.of_string (file moves));
+           let path = Filename.concat dir "rows.mvb" in
+           Out_channel.with_open_bin path (fun oc ->
+               output_string oc (file moves));
+           match Mvb.Segment.openfile path with
+           | (_ : Mvb.Segment.t) -> Alcotest.fail (name ^ ": segment opened")
+           | exception Mvb.Corrupt _ -> ())
+        [ ("labels out of order", [ (1, 1); (0, 1) ]);
+          ("destinations out of order", [ (1, 1); (1, 0) ]);
+          ("duplicate move", [ (1, 1); (1, 1) ]) ])
+
 let test_mvb_empty_lts () =
   let lts = build ~nb_states:1 ~initial:0 [] in
   let back = Mvb.of_string (Mvb.to_string lts) in
@@ -594,6 +630,57 @@ let test_ooc_flow_sequential () = check_ooc_flow ~pool:None ()
 let test_ooc_flow_parallel () =
   Mv_par.Pool.scope ~domains:4 (fun pool -> check_ooc_flow ~pool:(Some pool) ())
 
+(* Property: on generated LTSs (deterministic and nondeterministic
+   labels, self-loops, unreachable states), minimizing a .mvb out of
+   core writes the bytes of the in-RAM minimization, with the oracle's
+   number of reachable blocks, and leaves no scratch behind. *)
+let ooc_minimize_prop =
+  let gen =
+    QCheck2.Gen.(
+      let* nb_states = int_range 1 24 in
+      let state = int_bound (nb_states - 1) in
+      let* initial = state in
+      let* deterministic = bool in
+      let* moves =
+        list_size (int_bound 60)
+          (triple state (oneofl [ "a"; "b"; "i"; "G !1" ]) state)
+      in
+      let* loops = list_size (int_bound 4) (pair state (oneofl [ "a"; "i" ])) in
+      let moves = moves @ List.map (fun (s, l) -> (s, l, s)) loops in
+      (* one move per (state, label) makes every label deterministic *)
+      let moves =
+        if deterministic then
+          List.sort_uniq (fun (s, l, _) (s', l', _) -> compare (s, l) (s', l')) moves
+        else moves
+      in
+      return (nb_states, initial, moves))
+  in
+  QCheck2.Test.make ~name:"in-RAM = out-of-core strong minimize" ~count:200 gen
+    (fun (nb_states, initial, moves) ->
+       let lts = build ~nb_states ~initial moves in
+       let expected =
+         Mvb.to_string (Flow.Run.minimize Flow.Config.default Flow.Strong lts)
+       in
+       let oracle = Mv_oracle.Strong.partition lts in
+       let reachable_blocks =
+         Mv_util.Bitset.to_list (Lts.reachable lts)
+         |> List.map (fun s -> oracle.block_of.(s))
+         |> List.sort_uniq compare |> List.length
+       in
+       in_sandbox (fun dir ->
+           let scratch = Filename.concat dir "scratch" in
+           Sys.mkdir scratch 0o755;
+           let src = Filename.concat dir "in.mvb" in
+           let dst = Filename.concat dir "out.mvb" in
+           Mvb.write_file src lts;
+           let config = { Flow.Config.default with scratch_dir = Some scratch } in
+           let minimized = Flow.Run.minimize_mvb config Flow.Strong ~src ~dst in
+           read_file dst = expected
+           && Lts.nb_states minimized = reachable_blocks
+           && Sys.readdir scratch = [||]
+           && List.sort compare (Array.to_list (Sys.readdir dir))
+              = [ "in.mvb"; "out.mvb"; "scratch" ]))
+
 let test_minimize_mvb_strong_only () =
   in_sandbox (fun dir ->
       let path = Filename.concat dir "t.mvb" in
@@ -610,6 +697,7 @@ let suite =
     QCheck_alcotest.to_alcotest mvb_round_trip_prop;
     Alcotest.test_case "mvb file round trip" `Quick test_mvb_file_round_trip;
     Alcotest.test_case "mvb corruption detection" `Quick test_mvb_corruption;
+    Alcotest.test_case "mvb canonical rows" `Quick test_mvb_canonical_rows;
     Alcotest.test_case "mvb empty lts" `Quick test_mvb_empty_lts;
     QCheck_alcotest.to_alcotest varint_round_trip_prop;
     Alcotest.test_case "varint edges" `Quick test_varint_edges;
@@ -620,6 +708,7 @@ let suite =
     Alcotest.test_case "mvb stats" `Quick test_mvb_stats;
     Alcotest.test_case "ooc flow sequential" `Quick test_ooc_flow_sequential;
     Alcotest.test_case "ooc flow parallel" `Quick test_ooc_flow_parallel;
+    QCheck_alcotest.to_alcotest ooc_minimize_prop;
     Alcotest.test_case "minimize_mvb strong only" `Quick
       test_minimize_mvb_strong_only;
     Alcotest.test_case "cache memoize" `Quick test_cache_memoize;
